@@ -28,8 +28,7 @@ print(f"penalty schedule: d0={default_d0(g):.4f} -> cap {d_max(g):.2f}")
 
 result = solve(g, SolverConfig(seed=0), record_iterates=True)
 
-print(f"\nconverged={result.converged} after {result.iterations} iterations "
-      f"({result.wall_time_ms:.1f} ms)")
+print(f"\nconverged={result.converged} after {result.iterations} iterations")
 print("final weights:", np.round(result.u_final, 4))
 print("rounded clique:", result.clique.vertices,
       f"(valid={result.clique_valid}, maximal={result.clique_maximal})")

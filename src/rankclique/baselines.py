@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CliqueSet, EdgelessGraphError, Graph, is_clique
+from .graph import CliqueSet, EdgelessGraphError, Graph, _clique_check
 
 
 class IndependentSupportError(ValueError):
@@ -136,18 +136,9 @@ def extend_to_maximal(g: Graph, clique: CliqueSet) -> CliqueSet:
     results that used it.
     """
     members = list(clique.vertices)
-    if not is_clique(g, members):
+    valid, common = _clique_check(g, members)
+    if not valid:
         raise ValueError(f"{clique.vertices} is not a clique")
-    if members:
-        common = np.zeros(g.n, dtype=bool)
-        common[g.neighbors(members[0])] = True
-        for v in members[1:]:
-            mask = np.zeros(g.n, dtype=bool)
-            mask[g.neighbors(v)] = True
-            common &= mask
-        common[members] = False
-    else:
-        common = np.ones(g.n, dtype=bool)
     while common.any():
         v = int(np.nonzero(common)[0][0])
         members.append(v)

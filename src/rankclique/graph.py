@@ -222,10 +222,6 @@ def serialize_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dimacs(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(serialize_dimacs(g))
-
-
 def random_graph(n: int, density: float, seed: int) -> Graph:
     """Bernoulli random graph: each of the n(n-1)/2 pairs is an edge
     independently with probability `density`.  Same (n, density, seed)
@@ -289,6 +285,24 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
     return mat.tocsr()
 
 
+def _shared_term_counts(doc_term_text: str | bytes) -> sp.coo_matrix:
+    # X X^T of the binarized doc-term matrix X: entry (i, j) counts the
+    # distinct words documents i and j share
+    x = parse_coordinate_matrix(doc_term_text)
+    x.data = np.ones_like(x.data)
+    x.sum_duplicates()
+    x.data = np.minimum(x.data, 1.0)
+    return (x @ x.T).tocoo()
+
+
+def _cooccurrence_from_counts(shared: sp.coo_matrix, p: int) -> Graph:
+    if p < 1:
+        raise ValueError(f"co-occurrence threshold must be >= 1, got {p}")
+    keep = (shared.row < shared.col) & (shared.data >= p)
+    pairs = np.column_stack([shared.row[keep], shared.col[keep]]).astype(np.int64)
+    return _graph_from_pairs(shared.shape[0], pairs)
+
+
 def cooccurrence_graph(doc_term_text: str | bytes, p: int) -> Graph:
     """Build a document co-occurrence graph from a doc-term matrix.
 
@@ -296,16 +310,7 @@ def cooccurrence_graph(doc_term_text: str | bytes, p: int) -> Graph:
     two distinct documents are joined by an edge when they share at
     least p words.  p must be >= 1.
     """
-    if p < 1:
-        raise ValueError(f"co-occurrence threshold must be >= 1, got {p}")
-    x = parse_coordinate_matrix(doc_term_text)
-    x.data = np.ones_like(x.data)
-    x.sum_duplicates()
-    x.data = np.minimum(x.data, 1.0)
-    shared = (x @ x.T).tocoo()
-    keep = (shared.row < shared.col) & (shared.data >= p)
-    pairs = np.column_stack([shared.row[keep], shared.col[keep]]).astype(np.int64)
-    return _graph_from_pairs(x.shape[0], pairs)
+    return _cooccurrence_from_counts(_shared_term_counts(doc_term_text), p)
 
 
 @dataclass(frozen=True)
@@ -346,16 +351,25 @@ def _as_vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
     return arr
 
 
+def _clique_check(g: Graph, s: Iterable[int]) -> tuple[bool, np.ndarray]:
+    """(s is a clique, mask of the vertices adjacent to every member of s).
+
+    Both come from one count, A @ 1_s, taken in a single sparse pass: s
+    is a clique when every member has |s| - 1 neighbours in s.  A member
+    has at most |s| - 1, so a count of |s| marks exactly the outside
+    vertices that would extend s.
+    """
+    arr = _as_vertex_array(g, s)
+    indicator = np.zeros(g.n)
+    indicator[arr] = 1.0
+    counts = g.adj_matvec(indicator)
+    k = len(arr)
+    return bool(np.all(counts[arr] == k - 1)), counts == k
+
+
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True iff s induces a complete subgraph (empty and singleton sets count)."""
-    arr = _as_vertex_array(g, s)
-    if len(arr) <= 1:
-        return True
-    for v in arr:
-        hits = np.isin(arr, g.neighbors(int(v)), assume_unique=True)
-        if int(hits.sum()) != len(arr) - 1:
-            return False
-    return True
+    return _clique_check(g, s)[0]
 
 
 def is_maximal_clique(g: Graph, s: Iterable[int]) -> bool:
@@ -364,14 +378,5 @@ def is_maximal_clique(g: Graph, s: Iterable[int]) -> bool:
     The empty set is maximal only on the empty graph (any vertex extends
     it); a singleton is maximal only for an isolated vertex.
     """
-    arr = _as_vertex_array(g, s)
-    if not is_clique(g, arr):
-        return False
-    if len(arr) == 0:
-        return g.n == 0
-    common = np.setdiff1d(g.neighbors(int(arr[0])), arr, assume_unique=True)
-    for v in arr[1:]:
-        if len(common) == 0:
-            break
-        common = np.intersect1d(common, g.neighbors(int(v)), assume_unique=True)
-    return len(common) == 0
+    clique, extenders = _clique_check(g, s)
+    return clique and not extenders.any()

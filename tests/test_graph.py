@@ -19,7 +19,7 @@ from rankclique import (
     serialize_dimacs,
 )
 from conftest import small_random_graphs
-from oracles import dense_adjacency, subset_is_clique
+from oracles import dense_adjacency, exhaustive_maximal_cliques, subset_is_clique
 
 K3_DIMACS = """c toy triangle
 p edge 3 3
@@ -248,13 +248,25 @@ class TestCliquePredicates:
             is_clique(k3, [0, 5])
 
     def test_against_subset_oracle(self):
+        # random subsets, which are rarely cliques, plus every maximal
+        # clique and each of them with one member dropped, so that both
+        # answers of both predicates meet the dense reference
         rng = np.random.default_rng(3)
         for g in small_random_graphs(25, seed0=200):
             a = dense_adjacency(g)
+            subsets = []
             for _ in range(10):
                 k = int(rng.integers(0, g.n + 1))
-                vs = tuple(sorted(rng.choice(g.n, size=k, replace=False).tolist()))
-                assert is_clique(g, vs) == subset_is_clique(a, vs)
+                subsets.append(tuple(sorted(rng.choice(g.n, size=k, replace=False).tolist())))
+            for c in exhaustive_maximal_cliques(a):
+                subsets.append(c)
+                subsets.extend(c[:i] + c[i + 1:] for i in range(len(c)))
+            for vs in subsets:
+                clique = subset_is_clique(a, vs)
+                outside = [v for v in range(g.n) if v not in vs]
+                maximal = clique and not any(a[v, list(vs)].all() for v in outside)
+                assert is_clique(g, vs) == clique
+                assert is_maximal_clique(g, vs) == maximal
 
     def test_duplicates_in_input_are_collapsed(self, k3):
         assert is_clique(k3, [0, 0, 1])

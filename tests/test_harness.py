@@ -9,6 +9,7 @@ from rankclique import (
     cmd_ingest_text,
     cmd_solve,
     cmd_verify,
+    cooccurrence_graph,
     graph_from_edge_list,
     random_graph,
     read_dimacs,
@@ -55,6 +56,7 @@ class TestRunAlgorithm:
         assert rec.valid and rec.maximal and rec.converged
         assert rec.clique_size == 3
         assert rec.algorithm == "r1nm"
+        assert rec.wall_time_ms >= 0.0
 
     def test_baselines_on_star(self, star5):
         for algo in ("pelillo", "ding"):
@@ -175,6 +177,8 @@ class TestCmdIngestText:
         ]
         g = read_dimacs(tmp_path / "out" / "toy_p1.clq")
         assert g.edges().tolist() == [[0, 1]]
+        for r in results:
+            assert r.path.read_text() == serialize_dimacs(cooccurrence_graph(COORD_TOY, r.p))
 
 
 class TestCli:

@@ -9,6 +9,7 @@ from rankclique import (
     ArmijoStep,
     EdgelessGraphError,
     NumericalDivergenceError,
+    RoundingInvariantError,
     SolverConfig,
     SolverState,
     armijo_outer_iteration,
@@ -21,7 +22,7 @@ from rankclique import (
     md_matvec,
     md_norm_sq,
     objective_shifted,
-    project_nonneg,
+    random_graph,
     round_phi,
     solve,
     stationarity_residual,
@@ -115,11 +116,6 @@ class TestGradient:
 
 
 class TestPointwiseOps:
-    def test_project_nonneg(self):
-        got = project_nonneg(np.array([-1.0, 0.0, 2.0]))
-        assert got.tolist() == [0.0, 0.0, 2.0]
-        assert np.array_equal(project_nonneg(got), got)
-
     def test_round_phi(self):
         got = round_phi(np.array([0.3, 0.7, 0.5, 1.0005, -0.2]))
         assert got.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
@@ -191,7 +187,7 @@ class TestArmijoIteration:
         assert step.trials == cfg.max_armijo_trials
         # iterate moved to the final (most backtracked) candidate anyway
         last_alpha = alpha * cfg.beta ** (cfg.max_armijo_trials - 1)
-        expected = project_nonneg(u - last_alpha * gradient(k2, 1.0, u))
+        expected = np.maximum(u - last_alpha * gradient(k2, 1.0, u), 0.0)
         assert np.array_equal(out.u, expected)
         assert step.alpha_used == pytest.approx(last_alpha)
         assert out.alpha == pytest.approx(alpha * cfg.beta**cfg.max_armijo_trials)
@@ -241,7 +237,6 @@ class TestSolve:
         assert res.clique_valid and res.clique_maximal
         assert res.iterations >= 1
         assert len(res.objective_trace) == res.iterations
-        assert res.wall_time_ms >= 0.0
         assert res.stationarity_residual_final < 1e-2
 
     def test_star_across_seeds(self, star5):
@@ -251,6 +246,12 @@ class TestSolve:
             assert res.clique.size == 2
             assert 0 in res.clique.vertices
             assert is_maximal_clique(star5, res.clique.vertices)
+
+    @pytest.mark.xfail(strict=True, raises=RoundingInvariantError,
+                       reason="the binary-band stopping rule can stop next to a non-maximal clique")
+    def test_default_config_converges_to_a_maximal_clique(self):
+        res = solve(random_graph(400, 0.85, 2001), SolverConfig(seed=2004))
+        assert res.converged and res.clique_maximal
 
     def test_deterministic(self, star5):
         r1 = solve(star5, SolverConfig(seed=3))
