@@ -84,10 +84,6 @@ class Graph:
         k = int(np.searchsorted(nbrs, v))
         return k < len(nbrs) and nbrs[k] == v
 
-    def adjacency(self) -> list[list[int]]:
-        """Per-vertex sorted neighbor lists as plain Python lists."""
-        return [self.neighbors(v).tolist() for v in range(self.n)]
-
     def edges(self) -> np.ndarray:
         """(edge_count, 2) array of edges with u < v, sorted lexicographically."""
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))

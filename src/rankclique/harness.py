@@ -241,11 +241,9 @@ def cmd_bench_dimacs(
     records: list[BenchRecord] = []
     for name, g in graphs:
         for algo in algos:
-            for i in range(restarts):
-                rec, _ = run_algorithm(
-                    g, name, algo, seed + i, d0=d0, dmax=dmax, eta=eta, maximalize=maximalize
-                )
-                records.append(rec)
+            records += cmd_solve(
+                g, name, algo, restarts, seed, d0=d0, dmax=dmax, eta=eta, maximalize=maximalize
+            )[2]
     return records
 
 

@@ -13,8 +13,9 @@ projected gradient descent with an Armijo step-size rule while growing
 d geometrically up to a graph-dependent cap; iterates are declared
 converged once every coordinate is numerically binary.
 
-M_d is never materialized: all products go through md_matvec, one
-sparse adjacency pass plus rank-one corrections.
+M_d is never materialized: M_d u = (1 + d) (A u + u) - d * sum(u) needs
+one sparse adjacency pass, and SolverState carries A u from the Armijo
+trial that computed it, so each iterate costs one pass.
 """
 
 from __future__ import annotations
@@ -100,15 +101,16 @@ class ArmijoStep:
 class SolverState:
     """Loop state threaded through armijo_outer_iteration.
 
-    alpha0 anchors the relative step-size clamp; last_step carries the
-    most recent line-search diagnostics for traces and tests.
+    au is A u, carried from the pass that computed it; alpha0 anchors the
+    step-size clamp; last_step carries the latest line-search diagnostics.
     """
 
     u: np.ndarray
+    au: np.ndarray
     d: float
     alpha: float
+    alpha0: float
     iteration: int = 0
-    alpha0: float | None = None
     last_step: ArmijoStep | None = None
 
 
@@ -167,11 +169,19 @@ def md_norm_sq(g: Graph, d: float) -> float:
     return nnz + d * d * (g.n * g.n - nnz)
 
 
-def _check_vector(g: Graph, u) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (g.n,):
-        raise ValueError(f"vector has shape {u.shape}, expected ({g.n},)")
-    return u
+def _md_product(d: float, u: np.ndarray, au: np.ndarray) -> np.ndarray:
+    # M_d u from the adjacency product au = A u
+    return (1.0 + d) * (au + u) - d * float(u.sum())
+
+
+def _objective(u: np.ndarray, mdu: np.ndarray) -> float:
+    nrm2 = float(u @ u)
+    return -float(u @ mdu) + 0.5 * nrm2 * nrm2
+
+
+def _objective_and_gradient(d: float, u: np.ndarray, au: np.ndarray) -> tuple[float, np.ndarray]:
+    mdu = _md_product(d, u, au)
+    return _objective(u, mdu), 2.0 * (float(u @ u) * u - mdu)
 
 
 def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
@@ -181,24 +191,21 @@ def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
     pass plus two rank-one corrections:
     (1 + d) (A u + u) - d * sum(u) * ones.
     """
-    u = _check_vector(g, u)
-    if g.n == 0:
-        return np.zeros(0)
-    return (1.0 + d) * (g.adj_matvec(u) + u) - d * float(u.sum())
+    u = np.asarray(u, dtype=np.float64)
+    return _md_product(d, u, g.adj_matvec(u))
 
 
 def objective_shifted(g: Graph, d: float, u: np.ndarray) -> float:
     """The approximation objective with its constant term dropped:
     -u^T M_d u + 0.5 ||u||_2^4.  The full squared error is
     2 * objective_shifted + md_norm_sq."""
-    u = _check_vector(g, u)
-    nrm2 = float(u @ u)
-    return -float(u @ md_matvec(g, d, u)) + 0.5 * nrm2 * nrm2
+    u = np.asarray(u, dtype=np.float64)
+    return _objective(u, md_matvec(g, d, u))
 
 
 def gradient(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
     """Exact gradient of objective_shifted: 2 (||u||_2^2 u - M_d u)."""
-    u = _check_vector(g, u)
+    u = np.asarray(u, dtype=np.float64)
     return 2.0 * (float(u @ u) * u - md_matvec(g, d, u))
 
 
@@ -211,7 +218,7 @@ def round_phi(u: np.ndarray) -> np.ndarray:
 def stationarity_residual(g: Graph, d: float, u: np.ndarray) -> float:
     """Max-norm violation of the fixed-point condition
     u = [M_d u]_+ / ||u||_2^2 satisfied by nonzero stationary points."""
-    u = _check_vector(g, u)
+    u = np.asarray(u, dtype=np.float64)
     nrm2 = float(u @ u)
     if nrm2 == 0.0:
         raise ValueError("residual undefined at the zero vector")
@@ -222,19 +229,11 @@ def stationarity_residual(g: Graph, d: float, u: np.ndarray) -> float:
 def lift_ball_point(g: Graph, d: float, v: np.ndarray) -> np.ndarray:
     """Map a unit-ball point v to the approximation variable
     u = sqrt(v^T M_d v) v.  Requires v^T M_d v > 0."""
-    v = _check_vector(g, v)
+    v = np.asarray(v, dtype=np.float64)
     q = float(v @ md_matvec(g, d, v))
     if q <= 0.0:
         raise ValueError(f"quadratic form is {q}, must be positive to lift")
     return math.sqrt(q) * v
-
-
-def _objective_and_gradient(g: Graph, d: float, u: np.ndarray) -> tuple[float, np.ndarray]:
-    # shares the single matvec between objective and gradient
-    mdu = md_matvec(g, d, u)
-    nrm2 = float(u @ u)
-    f = -float(u @ mdu) + 0.5 * nrm2 * nrm2
-    return f, 2.0 * (nrm2 * u - mdu)
 
 
 _ALPHA_FLOOR_FACTOR = 1e-12
@@ -245,34 +244,31 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     penalty, then advance the penalty.
 
     At most cfg.max_armijo_trials candidates u_new = [u - alpha g]_+
-    are evaluated.  A candidate passes when
+    are evaluated, one adjacency pass each.  A candidate passes when
     f(u_new) - f(u) <= sigma * g . (u_new - u); failure shrinks alpha by
     beta and retries, success grows alpha by 1/sqrt(beta) for the next
     iteration.  If every trial fails the last candidate is accepted
-    anyway.  Afterwards alpha is clamped relative to the initial step
-    and d <- min(gamma d, d_max).
+    anyway; either way its A u_new goes into the returned state.
+    Afterwards alpha is clamped relative to the initial step and
+    d <- min(gamma d, d_max).
     """
     u = np.asarray(state.u, dtype=np.float64)
     d = float(state.d)
     alpha = float(state.alpha)
-    alpha0 = float(state.alpha0) if state.alpha0 is not None else alpha
+    alpha0 = float(state.alpha0)
     cap = _effective_d_max(g, cfg)
 
-    f_old, grad = _objective_and_gradient(g, d, u)
+    f_old, grad = _objective_and_gradient(d, u, state.au)
     if not (math.isfinite(f_old) and np.isfinite(grad).all()):
         raise NumericalDivergenceError("non-finite objective or gradient", u)
 
     accepted = False
-    trials = 0
-    u_new = u
-    f_new = f_old
-    bound = 0.0
-    alpha_used = alpha
-    for _ in range(cfg.max_armijo_trials):
-        trials += 1
+    # SolverConfig guarantees at least one trial, which binds every name below
+    for trials in range(1, cfg.max_armijo_trials + 1):
         alpha_used = alpha
         u_new = np.maximum(u - alpha * grad, 0.0)
-        f_new = objective_shifted(g, d, u_new)
+        au_new = g.adj_matvec(u_new)
+        f_new = _objective(u_new, _md_product(d, u_new, au_new))
         if not math.isfinite(f_new):
             raise NumericalDivergenceError("non-finite candidate objective", u_new)
         bound = cfg.sigma * float(grad @ (u_new - u))
@@ -295,10 +291,11 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     )
     return SolverState(
         u=u_new,
+        au=au_new,
         d=min(cfg.gamma * d, cap),
         alpha=alpha,
-        iteration=state.iteration + 1,
         alpha0=alpha0,
+        iteration=state.iteration + 1,
         last_step=step,
     )
 
@@ -330,9 +327,8 @@ def solve(
     otherwise.  The binary-band stopping rule does not rule that out:
     about 1% of default-config restarts on dense random graphs hit it.
     Non-converged runs report the rounding as-is together with its
-    validity flags.  The final
-    stationarity residual is evaluated at the penalty cap, or reported
-    as inf for an identically zero final iterate.
+    validity flags.  The final stationarity residual is evaluated at the
+    penalty cap, or reported as inf for an identically zero final iterate.
 
     Raises EdgelessGraphError when the graph has no edges: every
     maximal clique is a singleton and the penalized problem is trivial.
@@ -347,11 +343,12 @@ def solve(
     d0 = cfg.d0_override if cfg.d0_override is not None else default_d0(g)
     d0 = min(float(d0), cap)
 
-    _, grad0 = _objective_and_gradient(g, d0, u0)
+    au0 = g.adj_matvec(u0)
+    _, grad0 = _objective_and_gradient(d0, u0, au0)
     grad_norm = float(np.linalg.norm(grad0))
     alpha0 = 0.1 * float(np.linalg.norm(u0)) / grad_norm if grad_norm > 0 else 1.0
 
-    state = SolverState(u=u0, d=d0, alpha=alpha0, iteration=0, alpha0=alpha0)
+    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0, alpha0=alpha0)
     trace: list[float] = []
     iterates: list[IterateRecord] | None = [] if record_iterates else None
     converged = False

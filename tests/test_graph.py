@@ -44,13 +44,14 @@ class TestConstruction:
     def test_star_adjacency(self, star5):
         assert star5.n == 5
         assert star5.edge_count == 4
-        assert star5.adjacency() == [[1, 2, 3, 4], [0], [0], [0], [0]]
+        neighbors = [star5.neighbors(v).tolist() for v in range(star5.n)]
+        assert neighbors == [[1, 2, 3, 4], [0], [0], [0], [0]]
 
     def test_dirty_input_is_sanitized(self):
         # duplicates, swapped orientation, self-loop
         g = graph_from_edge_list(3, [(1, 0), (0, 1), (2, 2), (0, 1), (1, 2)])
         assert g.edge_count == 2
-        assert g.adjacency() == [[1], [0, 2], [1]]
+        assert [g.neighbors(v).tolist() for v in range(g.n)] == [[1], [0, 2], [1]]
 
     def test_edge_out_of_range(self):
         with pytest.raises(EdgeRangeError) as exc:
@@ -66,7 +67,7 @@ class TestConstruction:
         g = graph_from_edge_list(0, [])
         assert g.n == 0
         assert g.edge_count == 0
-        assert g.adjacency() == []
+        assert [g.neighbors(v).tolist() for v in range(g.n)] == []
 
     def test_edges_are_lexicographic(self):
         g = graph_from_edge_list(4, [(3, 2), (1, 0), (2, 0)])
@@ -96,7 +97,7 @@ class TestDimacs:
         g = parse_dimacs(K3_DIMACS)
         assert g.n == 3
         assert g.edge_count == 3
-        assert g.adjacency() == [[1, 2], [0, 2], [0, 1]]
+        assert [g.neighbors(v).tolist() for v in range(g.n)] == [[1, 2], [0, 2], [0, 1]]
 
     def test_parse_bytes(self):
         assert parse_dimacs(K3_DIMACS.encode()).edge_count == 3

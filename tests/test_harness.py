@@ -103,6 +103,8 @@ class TestCmdSolve:
     def test_restart_count_validated(self, k3):
         with pytest.raises(ValueError, match="restarts"):
             cmd_solve(k3, "k3", restarts=0)
+        with pytest.raises(ValueError, match="restarts"):
+            cmd_bench_dimacs([("k3", k3)], restarts=0)
 
 
 class TestCmdBenchRandom:

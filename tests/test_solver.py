@@ -8,6 +8,7 @@ import pytest
 from rankclique import (
     ArmijoStep,
     EdgelessGraphError,
+    Graph,
     NumericalDivergenceError,
     RoundingInvariantError,
     SolverConfig,
@@ -153,7 +154,7 @@ class TestBallLift:
 class TestArmijoIteration:
     def test_fixed_point_is_accepted_unchanged(self, k2):
         u = np.ones(2)
-        state = SolverState(u=u, d=0.0, alpha=0.5, iteration=0, alpha0=0.5)
+        state = SolverState(u=u, au=k2.adj_matvec(u), d=0.0, alpha=0.5, alpha0=0.5)
         out = armijo_outer_iteration(k2, SolverConfig(), state)
         step = out.last_step
         assert isinstance(step, ArmijoStep)
@@ -167,7 +168,8 @@ class TestArmijoIteration:
 
     def test_penalty_advances_geometrically_to_cap(self, k2):
         cfg = SolverConfig(d_max_override=1.5)
-        state = SolverState(u=np.ones(2), d=1.0, alpha=0.5, iteration=0, alpha0=0.5)
+        u = np.ones(2)
+        state = SolverState(u=u, au=k2.adj_matvec(u), d=1.0, alpha=0.5, alpha0=0.5)
         state = armijo_outer_iteration(k2, cfg, state)
         assert state.d == pytest.approx(1.1)
         for _ in range(4):
@@ -180,7 +182,7 @@ class TestArmijoIteration:
         u = np.array([1.2, 0.8])
         alpha = 1e9
         cfg = SolverConfig()
-        state = SolverState(u=u, d=1.0, alpha=alpha, iteration=0, alpha0=alpha)
+        state = SolverState(u=u, au=k2.adj_matvec(u), d=1.0, alpha=alpha, alpha0=alpha)
         out = armijo_outer_iteration(k2, cfg, state)
         step = out.last_step
         assert not step.accepted
@@ -189,6 +191,7 @@ class TestArmijoIteration:
         last_alpha = alpha * cfg.beta ** (cfg.max_armijo_trials - 1)
         expected = np.maximum(u - last_alpha * gradient(k2, 1.0, u), 0.0)
         assert np.array_equal(out.u, expected)
+        assert np.array_equal(out.au, k2.adj_matvec(expected))
         assert step.alpha_used == pytest.approx(last_alpha)
         assert out.alpha == pytest.approx(alpha * cfg.beta**cfg.max_armijo_trials)
 
@@ -202,17 +205,45 @@ class TestArmijoIteration:
                     assert slack <= 1e-9
                 assert 1 <= rec.step.trials <= 5
 
+    def test_one_adjacency_pass_per_trial(self, monkeypatch):
+        # A u is carried from the trial that computed it, so a solve makes
+        # one pass per Armijo trial plus three: the start, the maximality
+        # check and the final residual
+        passes = 0
+        adj_matvec = Graph.adj_matvec
+
+        def counted(self, u):
+            nonlocal passes
+            passes += 1
+            return adj_matvec(self, u)
+
+        monkeypatch.setattr(Graph, "adj_matvec", counted)
+        graphs = small_random_graphs(6, seed0=31, n_lo=6, n_hi=14) + [random_graph(400, 0.5, 3)]
+        for g in graphs:
+            passes = 0
+            res = solve(g, SolverConfig(seed=1), record_iterates=True)
+            assert res.clique_maximal
+            assert passes == sum(rec.step.trials for rec in res.iterates) + 3
+            # the carried product gives the same values as a fresh pass
+            prev_u = np.random.default_rng(1).random(g.n)
+            for rec in res.iterates:
+                assert rec.step.f_old == objective_shifted(g, rec.step.d, prev_u)
+                assert rec.step.f_new == objective_shifted(g, rec.step.d, rec.u)
+                prev_u = rec.u
+
     def test_step_size_cap(self, k2):
         # at an exact fixed point every iteration succeeds and grows alpha;
         # the clamp must stop that at alpha_cap_factor * alpha0
         cfg = SolverConfig(alpha_cap_factor=2.0)
-        state = SolverState(u=np.ones(2), d=0.0, alpha=1.0, iteration=0, alpha0=1.0)
+        u = np.ones(2)
+        state = SolverState(u=u, au=k2.adj_matvec(u), d=0.0, alpha=1.0, alpha0=1.0)
         for _ in range(10):
             state = armijo_outer_iteration(k2, cfg, state)
         assert state.alpha == pytest.approx(2.0)
 
     def test_non_finite_iterate_raises(self, k2):
-        state = SolverState(u=np.full(2, 1e200), d=1.0, alpha=0.1, iteration=0)
+        u = np.full(2, 1e200)
+        state = SolverState(u=u, au=k2.adj_matvec(u), d=1.0, alpha=0.1, alpha0=0.1)
         with np.errstate(over="ignore"), pytest.raises(NumericalDivergenceError):
             armijo_outer_iteration(k2, SolverConfig(), state)
 
