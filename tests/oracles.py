@@ -67,3 +67,26 @@ def exhaustive_max_clique(a: np.ndarray) -> tuple[int, ...]:
         if len(c) > len(best):
             best = c
     return best
+
+
+def graph_arrays_reference(n: int, pairs) -> tuple[np.ndarray, np.ndarray, int]:
+    """(indptr, indices, edge_count) of the simple graph on dirty 0-based
+    pairs: np.unique over canonical (lo, hi) keys, then a two-key lexsort
+    of both orientations."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    key = np.unique(lo[lo != hi] * n + hi[lo != hi])
+    lo, hi = key // n, key % n
+    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], len(key)
+
+
+def dimacs_text_reference(g) -> str:
+    """DIMACS rendering with one formatted line per edge."""
+    lines = [f"p edge {g.n} {g.edge_count}"]
+    for u, v in g.edges():
+        lines.append(f"e {u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+import rankclique.graph as graph_module
 from rankclique import (
     CliqueSet,
     CoordinateFormatError,
@@ -19,7 +22,14 @@ from rankclique import (
     serialize_dimacs,
 )
 from conftest import small_random_graphs
-from oracles import dense_adjacency, exhaustive_maximal_cliques, subset_is_clique
+from oracles import (
+    dense_adjacency,
+    dimacs_text_reference,
+    exhaustive_maximal_cliques,
+    graph_arrays_reference,
+    subset_is_clique,
+)
+from rankclique.graph import MAX_VERTICES
 
 K3_DIMACS = """c toy triangle
 p edge 3 3
@@ -52,6 +62,20 @@ class TestConstruction:
         g = graph_from_edge_list(3, [(1, 0), (0, 1), (2, 2), (0, 1), (1, 2)])
         assert g.edge_count == 2
         assert [g.neighbors(v).tolist() for v in range(g.n)] == [[1], [0, 2], [1]]
+
+    def test_dirty_pairs_match_the_unique_lexsort_reference(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 17, 60):
+            for m in (0, 1, 3, 40, 400):
+                pairs = rng.integers(0, n, size=(m, 2))
+                # repeat some pairs swapped, and add self-loops
+                pairs = np.concatenate([pairs, pairs[: m // 3, ::-1], np.repeat(pairs[: m // 5, :1], 2, axis=1)])
+                g = graph_from_edge_list(n, pairs)
+                indptr, indices, edge_count = graph_arrays_reference(n, pairs)
+                assert g.edge_count == edge_count
+                assert g.indptr.dtype == g.indices.dtype == np.int64
+                assert np.array_equal(g.indptr, indptr)
+                assert np.array_equal(g.indices, indices)
 
     def test_edge_out_of_range(self):
         with pytest.raises(EdgeRangeError) as exc:
@@ -149,6 +173,81 @@ class TestDimacs:
     def test_serialize_is_sorted_one_based(self, path3):
         assert serialize_dimacs(path3) == "p edge 3 2\ne 1 2\ne 2 3\n"
 
+    def test_serialize_matches_per_edge_rendering(self):
+        graphs = small_random_graphs(30, seed0=11) + [random_graph(150, 0.5, seed=4)]
+        for g in graphs:
+            assert serialize_dimacs(g) == dimacs_text_reference(g)
+        assert serialize_dimacs(graph_from_edge_list(5, [])) == "p edge 5 0\n"
+        assert serialize_dimacs(graph_from_edge_list(0, [])) == "p edge 0 0\n"
+
+    def test_odd_layouts_read_like_the_standard_one(self):
+        for g in small_random_graphs(20, seed0=400):
+            std = serialize_dimacs(g)
+            lines = std.splitlines(keepends=True)
+            variants = {
+                "comment between edges": "".join(lines[:2] + ["c between edges\n"] + lines[2:]),
+                "tabs": std.replace(" ", "\t"),
+                "double spaces": std.replace(" ", "  "),
+                "crlf": std.replace("\n", "\r\n"),
+                "leading blanks": "".join(" " + line for line in lines),
+                "no final newline": std[:-1],
+                "leading zeros": re.sub(r"e (\d+) (\d+)", r"e 0\1 00\2", std),
+                "bytes": std.encode("ascii"),
+            }
+            for name, text in variants.items():
+                h = parse_dimacs(text)
+                assert h.edge_count == g.edge_count, name
+                assert np.array_equal(h.indptr, g.indptr), name
+                assert np.array_equal(h.indices, g.indices), name
+
+    def test_standard_layout_skips_the_line_reader(self, monkeypatch):
+        def line_reader(text):
+            raise AssertionError("standard text reached the line reader")
+
+        g = random_graph(200, 0.5, seed=6)
+        text = "c written by serialize_dimacs\n" + serialize_dimacs(g)
+        monkeypatch.setattr(graph_module, "_dimacs_lines", line_reader)
+        h = parse_dimacs(text)
+        assert np.array_equal(h.indices, g.indices)
+        # the declared-count check runs on the vectorised pass too
+        wrong = text.replace(f"p edge 200 {g.edge_count}", f"p edge 200 {g.edge_count + 1}")
+        with pytest.warns(DimacsWarning, match=f"declares {g.edge_count + 1} edges, parsed {g.edge_count}"):
+            parse_dimacs(wrong)
+
+    def test_bad_endpoint_in_a_standard_file_names_its_line(self):
+        g = graph_from_edge_list(60, [(u, v) for u in range(60) for v in range(u + 1, 60)][:1000])
+        lines = serialize_dimacs(g).splitlines(keepends=True)
+        assert len(lines) == 1001
+        for k in (2, 437, 1001):
+            bad = lines.copy()
+            bad[k - 1] = "e 3 61\n"
+            with pytest.raises(DimacsFormatError, match="out of range") as exc:
+                parse_dimacs("".join(bad))
+            assert exc.value.line_no == k
+
+    def test_trailing_digits_after_the_last_newline_are_a_line(self):
+        std = serialize_dimacs(random_graph(30, 0.5, seed=2))
+        with pytest.raises(DimacsFormatError, match="unrecognized line '7'") as exc:
+            parse_dimacs(std + "7")
+        assert exc.value.line_no == len(std.splitlines()) + 1
+
+    def test_problem_line_after_the_edges(self):
+        body = "".join(serialize_dimacs(random_graph(30, 0.5, seed=2)).splitlines(keepends=True)[1:])
+        with pytest.raises(DimacsFormatError, match="edge line before problem line") as exc:
+            parse_dimacs(body + "p edge 30 5\n")
+        assert exc.value.line_no == 1
+        std = serialize_dimacs(random_graph(30, 0.5, seed=2))
+        with pytest.raises(DimacsFormatError, match="duplicate problem line") as exc:
+            parse_dimacs(std + "p edge 30 5\n")
+        assert exc.value.line_no == len(std.splitlines()) + 1
+
+    def test_vertex_ceiling_on_the_problem_line(self):
+        with pytest.raises(DimacsFormatError, match="limit") as exc:
+            parse_dimacs(f"c too big\np edge {MAX_VERTICES + 1} 0\n")
+        assert exc.value.line_no == 2
+        with pytest.raises(DimacsFormatError, match="limit"):
+            parse_dimacs("p edge 1000000000 0\n")
+
 
 class TestRandomGraph:
     def test_deterministic(self):
@@ -196,6 +295,12 @@ class TestCoordinateMatrix:
     def test_index_out_of_range(self):
         with pytest.raises(CoordinateFormatError, match="out of range"):
             parse_coordinate_matrix("2 2 1\n3 1 1.0\n")
+
+    def test_vertex_ceiling_on_the_header(self):
+        for header in (f"{MAX_VERTICES + 1} 3 0", f"3 {MAX_VERTICES + 1} 0", "1000000000 1000000000 0"):
+            with pytest.raises(CoordinateFormatError, match="limit") as exc:
+                parse_coordinate_matrix(f"% too big\n{header}\n")
+            assert exc.value.line_no == 2
 
     def test_negative_value(self):
         with pytest.raises(CoordinateFormatError, match="negative value"):
