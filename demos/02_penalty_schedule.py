@@ -16,7 +16,7 @@ result = solve(g, SolverConfig(seed=1), record_iterates=True)
 print(f"n={g.n} edges={g.edge_count}; converged={result.converged} "
       f"in {result.iterations} iterations\n")
 print(f"{'iter':>4} {'d':>9} {'support':>7} {'objective':>10} "
-      f"{'residual':>9} {'alpha':>9} {'trials':>6}")
+      f"{'residual':>9} {'alpha':>9}")
 for k, rec in enumerate(result.iterates, start=1):
     if k % 4 and k != result.iterations:
         continue
@@ -24,7 +24,7 @@ for k, rec in enumerate(result.iterates, start=1):
     resid = (stationarity_residual(g, rec.d, rec.u)
              if float(rec.u @ rec.u) > 0 else float("inf"))
     print(f"{k:>4} {rec.d:>9.2f} {support:>7} {rec.step.f_new:>10.3f} "
-          f"{resid:>9.2e} {rec.step.alpha_used:>9.2e} {rec.step.trials:>6}")
+          f"{resid:>9.2e} {rec.step.alpha_used:>9.2e}")
 
 print("\nclique:", result.clique.vertices)
 print("weights of clique vertices:",

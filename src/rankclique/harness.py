@@ -382,7 +382,8 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
     u = np.full(g.n, 1.0 / g.n)
     ms_ok = True
     worst_q = 0.0
-    for _ in range(BaselineConfig().max_iterations):
+    base_cfg = BaselineConfig()
+    for _ in range(base_cfg.max_iterations):
         q = float(u @ g.adj_matvec(u))
         worst_q = max(worst_q, q)
         if q > ms_bound:
@@ -391,7 +392,7 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         u_next = pelillo_step(g, u)
         delta = u_next - u
         u = u_next
-        if float(delta @ delta) < BaselineConfig().tol:
+        if float(delta @ delta) < base_cfg.tol:
             break
     checks.append(
         VerifyCheck(

@@ -9,19 +9,22 @@ penalized with a negative weight -d, giving the implicit matrix
 Minimizing ||M_d - u u^T||_F^2 over u >= 0 with a large enough penalty
 drives u toward the 0/1 indicator vector of a maximal clique, and the
 squared norm of the minimizer equals the clique size.  The solver runs
-projected gradient descent with an Armijo step-size rule while growing
-d geometrically up to a graph-dependent cap; iterates are declared
-converged once every coordinate is numerically binary.
+projected gradient descent while growing d geometrically up to a
+graph-dependent cap; iterates are declared converged once every
+coordinate is numerically binary.  In place of the paper's Armijo
+backtracking, each step is an exact line search along the projected
+chord, where the objective's change is a quartic in the step length.
 
 M_d is never materialized: M_d u = (1 + d) (A u + u) - d * sum(u) needs
-one sparse adjacency pass, and SolverState carries A u from the Armijo
-trial that computed it, so each iterate costs one pass.
+one sparse adjacency pass.  Each iteration makes one pass, A p along its
+chord, and SolverState carries A u + t A p to the next iterate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,71 +48,59 @@ class SolverConfig:
     """Tuning knobs for the projected gradient solver.
 
     gamma                : geometric growth factor of the penalty d
-    sigma                : Armijo sufficient-decrease coefficient
-    beta                 : Armijo backtracking factor (shrink on failure,
-                           grow by 1/sqrt(beta) on success)
-    max_armijo_trials    : candidate evaluations per outer iteration
+    beta                 : alpha becomes alpha max(t*, beta) after a step
+                           t* < 1 along the chord, alpha / sqrt(beta) after t* = 1
     d0_override          : starting penalty (default: Frobenius-balance value)
     d_max_override       : penalty cap (default: 2 n ||B||_F)
     binary_tol_low       : coordinates at most this count as 0
     binary_tol_high      : closed interval of coordinates counting as 1
     max_outer_iterations : hard stop when the binary criterion never triggers
-    alpha_cap_factor     : step size never exceeds this multiple of the
-                           initial step (and never drops below 1e-12 of it)
     seed                 : RNG seed for the uniform random start
     """
 
     gamma: float = 1.1
-    sigma: float = 0.01
     beta: float = 0.5
-    max_armijo_trials: int = 5
     d0_override: float | None = None
     d_max_override: float | None = None
     binary_tol_low: float = 0.001
     binary_tol_high: tuple[float, float] = (0.999, 1.001)
     max_outer_iterations: int = 10_000
-    alpha_cap_factor: float = 1e6
     seed: int = 0
 
     def __post_init__(self):
         if self.gamma <= 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.max_armijo_trials < 1:
-            raise ValueError("max_armijo_trials must be at least 1")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
 class ArmijoStep:
-    """Diagnostics of one outer iteration's line search."""
+    """Diagnostics of one outer iteration's line search.  There is one
+    chord evaluation per iteration, so trials is always 1."""
 
     d: float
     alpha_used: float
     f_old: float
     f_new: float
-    decrease_bound: float  # sigma * grad . (u_new - u_old)
-    trials: int
     accepted: bool
+    trials: ClassVar[int] = 1
 
 
 @dataclass
 class SolverState:
     """Loop state threaded through armijo_outer_iteration.
 
-    au is A u, carried from the pass that computed it; alpha0 anchors the
-    step-size clamp; last_step carries the latest line-search diagnostics.
+    au is A u, carried from the pass that computed it; last_step carries
+    the latest line-search diagnostics.
     """
 
     u: np.ndarray
     au: np.ndarray
     d: float
     alpha: float
-    alpha0: float
     iteration: int = 0
     last_step: ArmijoStep | None = None
 
@@ -174,14 +165,10 @@ def _md_product(d: float, u: np.ndarray, au: np.ndarray) -> np.ndarray:
     return (1.0 + d) * (au + u) - d * float(u.sum())
 
 
-def _objective(u: np.ndarray, mdu: np.ndarray) -> float:
-    nrm2 = float(u @ u)
-    return -float(u @ mdu) + 0.5 * nrm2 * nrm2
-
-
 def _objective_and_gradient(d: float, u: np.ndarray, au: np.ndarray) -> tuple[float, np.ndarray]:
     mdu = _md_product(d, u, au)
-    return _objective(u, mdu), 2.0 * (float(u @ u) * u - mdu)
+    nrm2 = float(u @ u)
+    return 0.5 * nrm2 * nrm2 - float(u @ mdu), 2.0 * (nrm2 * u - mdu)
 
 
 def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
@@ -200,13 +187,13 @@ def objective_shifted(g: Graph, d: float, u: np.ndarray) -> float:
     -u^T M_d u + 0.5 ||u||_2^4.  The full squared error is
     2 * objective_shifted + md_norm_sq."""
     u = np.asarray(u, dtype=np.float64)
-    return _objective(u, md_matvec(g, d, u))
+    return _objective_and_gradient(d, u, g.adj_matvec(u))[0]
 
 
 def gradient(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
     """Exact gradient of objective_shifted: 2 (||u||_2^2 u - M_d u)."""
     u = np.asarray(u, dtype=np.float64)
-    return 2.0 * (float(u @ u) * u - md_matvec(g, d, u))
+    return _objective_and_gradient(d, u, g.adj_matvec(u))[1]
 
 
 def round_phi(u: np.ndarray) -> np.ndarray:
@@ -236,65 +223,101 @@ def lift_ball_point(g: Graph, d: float, v: np.ndarray) -> np.ndarray:
     return math.sqrt(q) * v
 
 
-_ALPHA_FLOOR_FACTOR = 1e-12
+def _quartic(t: float, q1: float, q2: float, q3: float, q4: float) -> float:
+    return t * (q1 + t * (q2 + t * (q3 + t * q4)))
+
+
+def _cubic_roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of t^3 + a t^2 + b t + c: the largest in magnitude by
+    Cardano's formula, the other two from Vieta's relations with it,
+    which avoids the cancellation in undoing the shift t = x - a/3."""
+    shift = a / 3.0
+    P = b - a * shift
+    Q = c - shift * (b - 2.0 * shift * shift)
+    disc = 0.25 * Q * Q + P * P * P / 27.0  # < 0: three distinct real roots
+    if not math.isfinite(disc):
+        return []
+    if disc >= 0.0:
+        v = -0.5 * Q - math.copysign(math.sqrt(disc), Q)
+        w = math.copysign(abs(v) ** (1.0 / 3.0), v)
+        r = (w - P / (3.0 * w) if w != 0.0 else 0.0) - shift
+    else:
+        m = 2.0 * math.sqrt(-P / 3.0)
+        phi = math.acos(min(1.0, max(-1.0, 3.0 * Q / (P * m)))) / 3.0
+        r = max((m * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in range(3)), key=abs)
+    if r == 0.0:
+        return [r]
+    prod = -c / r  # of the other two roots
+    half_sum = 0.5 * (b - prod) / r
+    h2 = half_sum * half_sum - prod
+    if h2 < 0.0:
+        return [r]
+    r1 = half_sum + math.copysign(math.sqrt(h2), half_sum)
+    return [r, r1, prod / r1 if r1 != 0.0 else 0.0]
+
+
+def _chord_minimizer(q1: float, q2: float, q3: float, q4: float) -> float:
+    """The t in [0, 1] minimizing q1 t + q2 t^2 + q3 t^3 + q4 t^4, or 0
+    when no t in (0, 1] lowers it.  The candidates are 1, the critical
+    points, and -q1 / (2 q2), which stays accurate on short chords."""
+    ts = [1.0]
+    if q2 > 0.0:
+        ts.append(-q1 / (2.0 * q2))
+    if q4 > 0.0:
+        ts += _cubic_roots(0.75 * q3 / q4, 0.5 * q2 / q4, 0.25 * q1 / q4)
+    # ties go to the smaller t, so t = 0 wins unless some t lowers the quartic
+    return min([(0.0, 0.0)] + [(_quartic(t, q1, q2, q3, q4), t) for t in ts if 0.0 < t <= 1.0])[1]
 
 
 def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> SolverState:
-    """One outer iteration: backtracking line search at the current
-    penalty, then advance the penalty.
-
-    At most cfg.max_armijo_trials candidates u_new = [u - alpha g]_+
-    are evaluated, one adjacency pass each.  A candidate passes when
-    f(u_new) - f(u) <= sigma * g . (u_new - u); failure shrinks alpha by
-    beta and retries, success grows alpha by 1/sqrt(beta) for the next
-    iteration.  If every trial fails the last candidate is accepted
-    anyway; either way its A u_new goes into the returned state.
-    Afterwards alpha is clamped relative to the initial step and
+    """One outer iteration: an exact line search along the projected
+    chord p = [u - alpha g]_+ - u at the current penalty, then
     d <- min(gamma d, d_max).
+
+    f(u + t p) - f(u) = q1 t + q2 t^2 + q3 t^3 + q4 t^4 comes from one
+    pass A p and a few scalars, so it sees decreases far below one ulp of
+    f.  The step goes to its minimizer t* over [0, 1], and A u + t* A p is
+    carried.  alpha then follows SolverConfig.beta; it stays put if p = 0.
+    The name and ArmijoStep's trials (always 1) and accepted (t* > 0)
+    stay because perfbench/tracing.py reads them.
     """
     u = np.asarray(state.u, dtype=np.float64)
     d = float(state.d)
     alpha = float(state.alpha)
-    alpha0 = float(state.alpha0)
     cap = _effective_d_max(g, cfg)
 
     f_old, grad = _objective_and_gradient(d, u, state.au)
     if not (math.isfinite(f_old) and np.isfinite(grad).all()):
         raise NumericalDivergenceError("non-finite objective or gradient", u)
 
-    accepted = False
-    # SolverConfig guarantees at least one trial, which binds every name below
-    for trials in range(1, cfg.max_armijo_trials + 1):
-        alpha_used = alpha
-        u_new = np.maximum(u - alpha * grad, 0.0)
-        au_new = g.adj_matvec(u_new)
-        f_new = _objective(u_new, _md_product(d, u_new, au_new))
-        if not math.isfinite(f_new):
-            raise NumericalDivergenceError("non-finite candidate objective", u_new)
-        bound = cfg.sigma * float(grad @ (u_new - u))
-        if f_new - f_old > bound:
-            alpha = cfg.beta * alpha
-        else:
-            alpha = alpha / math.sqrt(cfg.beta)
-            accepted = True
-            break
+    cand = np.maximum(u - alpha * grad, 0.0)
+    p = cand - u
+    ap = g.adj_matvec(p)
+    uu, up, pp, sp = float(u @ u), float(u @ p), float(p @ p), float(p.sum())
+    u_md_p = (1.0 + d) * (float(u @ ap) + up) - d * float(u.sum()) * sp
+    p_md_p = (1.0 + d) * (float(p @ ap) + pp) - d * sp * sp
+    q = (2.0 * (uu * up - u_md_p), 2.0 * up * up + pp * uu - p_md_p, 2.0 * up * pp, 0.5 * pp * pp)
+    if not all(map(math.isfinite, q)):
+        raise NumericalDivergenceError("non-finite chord coefficients", cand)
 
-    alpha = min(max(alpha, _ALPHA_FLOOR_FACTOR * alpha0), cfg.alpha_cap_factor * alpha0)
+    t = _chord_minimizer(*q)
+    if t == 1.0:
+        u_new, alpha = cand, alpha / math.sqrt(cfg.beta)
+    else:
+        u_new = np.maximum(u + t * p, 0.0)
+        alpha *= max(t, cfg.beta) if pp > 0.0 else 1.0
     step = ArmijoStep(
         d=d,
-        alpha_used=alpha_used,
+        alpha_used=float(state.alpha),
         f_old=f_old,
-        f_new=f_new,
-        decrease_bound=bound,
-        trials=trials,
-        accepted=accepted,
+        f_new=f_old + _quartic(t, *q),
+        accepted=t > 0.0,
     )
     return SolverState(
         u=u_new,
-        au=au_new,
+        au=state.au + t * ap,
         d=min(cfg.gamma * d, cap),
         alpha=alpha,
-        alpha0=alpha0,
         iteration=state.iteration + 1,
         last_step=step,
     )
@@ -324,8 +347,9 @@ def solve(
 
     The final iterate is rounded coordinatewise; a converged run must
     round to a maximal clique, and RoundingInvariantError is raised
-    otherwise.  The binary-band stopping rule does not rule that out:
-    about 1% of default-config restarts on dense random graphs hit it.
+    otherwise.  The binary-band stopping rule does not rule that out: an
+    iterate at a symmetric saddle next to a non-maximal clique can sit
+    inside the band (see README, Design notes).
     Non-converged runs report the rounding as-is together with its
     validity flags.  The final stationarity residual is evaluated at the
     penalty cap, or reported as inf for an identically zero final iterate.
@@ -348,7 +372,7 @@ def solve(
     grad_norm = float(np.linalg.norm(grad0))
     alpha0 = 0.1 * float(np.linalg.norm(u0)) / grad_norm if grad_norm > 0 else 1.0
 
-    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0, alpha0=alpha0)
+    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0)
     trace: list[float] = []
     iterates: list[IterateRecord] | None = [] if record_iterates else None
     converged = False

@@ -90,3 +90,26 @@ def dimacs_text_reference(g) -> str:
     for u, v in g.edges():
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
+
+
+def quartic_min_reference(q, grid: int = 20001) -> float:
+    """Minimum over t in [0, 1] of q1 t + q2 t^2 + q3 t^3 + q4 t^4, from a
+    dense t-grid plus the real critical points that np.roots finds."""
+    q1, q2, q3, q4 = q
+    roots = np.roots([4.0 * q4, 3.0 * q3, 2.0 * q2, q1])
+    crit = roots[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))].real
+    ts = np.concatenate([np.linspace(0.0, 1.0, grid), crit[(crit >= 0.0) & (crit <= 1.0)]])
+    return float(np.min(ts * (q1 + ts * (q2 + ts * (q3 + ts * q4)))))
+
+
+def chord_quartic_dense(md: np.ndarray, u: np.ndarray, p: np.ndarray) -> tuple[float, ...]:
+    """Coefficients of f(u + t p) - f(u) for f(v) = -v^T M v + 0.5 ||v||^4,
+    with M p formed densely."""
+    uu, up, pp = float(u @ u), float(u @ p), float(p @ p)
+    mp = md @ p
+    return (
+        2.0 * (uu * up - float(u @ mp)),
+        2.0 * up * up + pp * uu - float(p @ mp),
+        2.0 * up * pp,
+        0.5 * pp * pp,
+    )
