@@ -13,6 +13,11 @@ is read in one vectorised pass over its bytes; every other layout, and
 every malformed file, goes through the line-by-line reader.  Both readers
 refuse a header asking for more than MAX_VERTICES vertices before any
 graph array is allocated.
+
+Graph.adj_matvec, the one adjacency product the solver, the baselines
+and the clique checks use, makes one sparse pass over whichever of A and
+the non-edge adjacency Ā has fewer entries.  That operator is built on
+the first pass, not at ingest.
 """
 
 from __future__ import annotations
@@ -104,19 +109,59 @@ class Graph:
         keep = src < self.indices
         return np.column_stack([src[keep], self.indices[keep]])
 
+    def _complement_side(self) -> bool:
+        # A has 2m stored entries and the non-edge adjacency Ā has
+        # n(n-1) - 2m; a tie keeps A
+        return 4 * self.edge_count > self.n * (self.n - 1)
+
     @cached_property
-    def _csr(self) -> sp.csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+    def _operator(self) -> sp.csr_matrix:
+        """0/1 CSR of Ā when it has fewer entries than A, else of A; built
+        on the first pass."""
+        if self._complement_side():
+            indptr, indices = _complement_structure(self)
+        else:
+            indptr, indices = self.indptr, self.indices
+        data = np.ones(len(indices), dtype=np.float64)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     def adj_matvec(self, u: np.ndarray) -> np.ndarray:
-        """Adjacency-matrix product A @ u in one sparse pass."""
+        """Adjacency-matrix product A @ u in one sparse pass over whichever
+        of A and Ā has fewer entries.
+
+        A = J - I - Ā, so on the complement side A u = (sum(u) - u) - Ā u.
+        For a 0/1 vector u either side gives exact integer counts.
+        """
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.n,):
             raise ValueError(f"vector has shape {u.shape}, expected ({self.n},)")
         if self.n == 0:
             return np.zeros(0)
-        return self._csr @ u
+        if self._complement_side():
+            return (float(u.sum()) - u) - self._operator @ u
+        return self._operator @ u
+
+
+def _complement_structure(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of Ā, the non-edges of g without the diagonal.
+
+    Marks the non-edges in an n x n bool mask through the flat keys
+    v*n + w of g's entries.  Taken only when Ā has fewer entries than A,
+    so neither the key array nor Ā's own is longer than g.indices.
+    """
+    n = g.n
+    mask = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(mask, False)
+    flat = mask.reshape(-1)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(g.indptr))
+    keys += g.indices
+    flat[keys] = False
+    del keys
+    keys = np.flatnonzero(flat)
+    del mask, flat
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return indptr, keys
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -457,10 +502,11 @@ def _as_vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
 def _clique_check(g: Graph, s: Iterable[int]) -> tuple[bool, np.ndarray]:
     """(s is a clique, mask of the vertices adjacent to every member of s).
 
-    Both come from one count, A @ 1_s, taken in a single sparse pass: s
-    is a clique when every member has |s| - 1 neighbours in s.  A member
-    has at most |s| - 1, so a count of |s| marks exactly the outside
-    vertices that would extend s.
+    Both come from one count, A @ 1_s, taken in a single pass of
+    adj_matvec (over Ā on dense graphs; the counts are exact integers on
+    either side): s is a clique when every member has |s| - 1 neighbours
+    in s.  A member has at most |s| - 1, so a count of |s| marks exactly
+    the outside vertices that would extend s.
     """
     arr = _as_vertex_array(g, s)
     indicator = np.zeros(g.n)

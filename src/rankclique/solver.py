@@ -16,8 +16,10 @@ backtracking, each step is an exact line search along the projected
 chord, where the objective's change is a quartic in the step length.
 
 M_d is never materialized: M_d u = (1 + d) (A u + u) - d * sum(u) needs
-one sparse adjacency pass.  Each iteration makes one pass, A p along its
-chord, and SolverState carries A u + t A p to the next iterate.
+one product A u from Graph.adj_matvec, which is one sparse pass over A
+or, on graphs with more than half of all pairs as edges, over the
+sparser non-edge adjacency.  Each iteration makes one pass, A p along
+its chord, and SolverState carries A u + t A p to the next iterate.
 """
 
 from __future__ import annotations

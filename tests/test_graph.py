@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rankclique.graph as graph_module
 from rankclique import (
@@ -13,6 +15,7 @@ from rankclique import (
     DimacsWarning,
     EdgeRangeError,
     cooccurrence_graph,
+    extend_to_maximal,
     graph_from_edge_list,
     is_clique,
     is_maximal_clique,
@@ -114,6 +117,32 @@ class TestConstruction:
     def test_adj_matvec_rejects_wrong_shape(self, k3):
         with pytest.raises(ValueError, match="shape"):
             k3.adj_matvec(np.ones(4))
+
+
+class TestAdjacencyOperator:
+    """adj_matvec runs on A or on the non-edge adjacency Ā, whichever
+    stores fewer entries; both must give A u."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 25), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=0, density=0.5, seed=0)  # no vertices
+    @example(n=9, density=0.0, seed=0)  # no edges
+    @example(n=9, density=1.0, seed=0)  # complete: Ā is empty
+    @example(n=12, density=0.5, seed=0)  # 33 edges, 4m = n(n-1): the tie keeps A
+    @example(n=13, density=0.5, seed=1)  # 39 edges, 4m = n(n-1)
+    def test_matches_the_dense_product(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+        m = round(density * len(pairs))
+        g = graph_from_edge_list(n, pairs[rng.permutation(len(pairs))[:m]])
+        assert g.edge_count == m
+        a = dense_adjacency(g)
+        u = rng.standard_normal(n)
+        assert np.allclose(g.adj_matvec(u), a @ u, rtol=0.0, atol=1e-12 * (1.0 + np.abs(u).sum()))
+        s = (rng.random(n) < 0.5).astype(np.float64)
+        assert np.array_equal(g.adj_matvec(s), a @ s)
+        assert g._complement_side() == (4 * m > n * (n - 1))
+        assert g._operator.nnz == min(2 * m, n * (n - 1) - 2 * m)
 
 
 class TestDimacs:
@@ -328,6 +357,12 @@ class TestCooccurrence:
             cooccurrence_graph(COORD_TOY, p=0)
 
 
+def complete_minus_matching(k: int):
+    """K_2k without the edges {2i, 2i + 1}: its maximal cliques take one
+    vertex of each pair."""
+    return graph_from_edge_list(2 * k, [(i, j) for i, j in combinations(range(2 * k), 2) if j != i + 1 or i % 2])
+
+
 class TestCliquePredicates:
     def test_frozen_cases(self, star5, k3):
         assert is_clique(star5, [0, 1])
@@ -373,6 +408,41 @@ class TestCliquePredicates:
                 maximal = clique and not any(a[v, list(vs)].all() for v in outside)
                 assert is_clique(g, vs) == clique
                 assert is_maximal_clique(g, vs) == maximal
+
+    @pytest.mark.parametrize(
+        "g",
+        [graph_from_edge_list(n, list(combinations(range(n), 2))) for n in range(7)]
+        + [complete_minus_matching(k) for k in range(1, 5)]
+        + [graph_from_edge_list(1, []), graph_from_edge_list(2, [])],
+        ids=[f"K{n}" for n in range(7)] + [f"K{2 * k}-matching" for k in range(1, 5)] + ["n1-empty", "n2-empty"],
+    )
+    def test_dense_graphs_against_subset_oracle(self, g):
+        # every subset of K_n, of K_2k minus a perfect matching and of the
+        # graphs on at most two vertices; the dense ones run on Ā
+        a = dense_adjacency(g)
+        maximal_cliques = set(exhaustive_maximal_cliques(a)) if g.n else {()}
+        for k in range(g.n + 1):
+            for vs in combinations(range(g.n), k):
+                clique = subset_is_clique(a, vs)
+                assert is_clique(g, vs) == clique
+                assert is_maximal_clique(g, vs) == (vs in maximal_cliques)
+                if not clique:
+                    with pytest.raises(ValueError, match="not a clique"):
+                        extend_to_maximal(g, CliqueSet(vs))
+                    continue
+                members = list(vs)
+                for v in range(g.n):
+                    if v not in members and a[v, members].all():
+                        members.append(v)
+                assert extend_to_maximal(g, CliqueSet(vs)).vertices == tuple(sorted(members))
+
+    def test_matching_complement_cliques_take_one_vertex_per_pair(self):
+        k = 4
+        g = complete_minus_matching(k)
+        assert g._complement_side() and g._operator.nnz == 2 * k
+        transversals = {tuple(2 * i + b for i, b in enumerate(bits)) for bits in np.ndindex(*(2,) * k)}
+        assert {vs for vs in combinations(range(2 * k), k) if is_maximal_clique(g, vs)} == transversals
+        assert extend_to_maximal(g, CliqueSet(())).vertices == (0, 2, 4, 6)
 
     def test_duplicates_in_input_are_collapsed(self, k3):
         assert is_clique(k3, [0, 0, 1])

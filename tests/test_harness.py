@@ -16,7 +16,9 @@ from rankclique import (
     records_to_csv,
     run_algorithm,
     serialize_dimacs,
+    solve,
 )
+from rankclique import harness
 from rankclique.cli import main
 from test_graph import COORD_TOY, K3_DIMACS
 
@@ -163,6 +165,32 @@ class TestCmdVerify:
     def test_random_instance_passes(self):
         report = cmd_verify(random_graph(12, 0.5, seed=2), "rand12", seeds=(0,))
         assert report.all_passed
+
+    def test_one_recorded_solve_per_seed(self, monkeypatch):
+        calls = []
+
+        def counting_solve(g, cfg, **kw):
+            calls.append((cfg.seed, kw))
+            return solve(g, cfg, **kw)
+
+        monkeypatch.setattr(harness, "solve", counting_solve)
+        report = cmd_verify(random_graph(12, 0.5, 0), "r", seeds=range(3))
+        assert report.all_passed
+        assert calls == [(s, {"record_iterates": True}) for s in range(3)]
+
+    def test_a_raising_seed_is_reported_once(self, monkeypatch):
+        def failing_solve(g, cfg, **kw):
+            if cfg.seed == 1:
+                raise RuntimeError("boom")
+            return solve(g, cfg, **kw)
+
+        monkeypatch.setattr(harness, "solve", failing_solve)
+        report = cmd_verify(random_graph(12, 0.5, 0), "r", seeds=range(3))
+        checks = {c.name: c for c in report.checks}
+        assert not report.all_passed
+        assert not checks["rounding_soundness"].passed
+        assert checks["rounding_soundness"].detail == "2 solves across seeds [0, 1, 2], 1 violations"
+        assert checks["nonadjacent_weight_bound"].passed
 
     def test_edgeless_rejected(self, empty4):
         with pytest.raises(ValueError, match="at least one edge"):
