@@ -43,10 +43,16 @@ class BaselineConfig:
 
 
 def _masses(g: Graph, u: np.ndarray) -> np.ndarray:
-    # u_i (A u)_i / (u^T A u); sums to 1 identically, renormalized to
-    # absorb floating-point drift
     u = np.asarray(u, dtype=np.float64)
-    au = g.adj_matvec(u)
+    return _replicator_masses(u, g.adj_matvec(u))
+
+
+def _replicator_masses(u: np.ndarray, au: np.ndarray) -> np.ndarray:
+    """u_i (A u)_i / (u^T A u) from u and its product au = A u.
+
+    Sums to 1 identically; renormalized to absorb floating-point drift.
+    pelillo_step(g, u) is _replicator_masses(u, g.adj_matvec(u)).
+    """
     q = float(u @ au)
     if q <= 0.0:
         raise IndependentSupportError(

@@ -4,8 +4,9 @@ Graphs are simple and undirected: no self-loops, no duplicate edges,
 0-based vertex indices internally.  Constructors accept dirty edge input
 (duplicates, swapped endpoints, self-loops) and canonicalize it with one
 sort of the keys src*n + dst over both orientations; the DIMACS reader
-and the coordinate-matrix reader report malformed lines by line number.
-DIMACS files use 1-based vertex labels on disk.
+and the coordinate-matrix reader report malformed lines by line number,
+a non-ASCII character outside a comment line included.  DIMACS files
+use 1-based vertex labels on disk.
 
 DIMACS text in the layout serialize_dimacs writes (comment lines, one
 `p edge n m` line, then `e u v` lines with single spaces and LF endings)
@@ -15,9 +16,16 @@ refuse a header asking for more than MAX_VERTICES vertices before any
 graph array is allocated.
 
 Graph.adj_matvec, the one adjacency product the solver, the baselines
-and the clique checks use, makes one sparse pass over whichever of A and
-the non-edge adjacency Ā has fewer entries.  That operator is built on
-the first pass, not at ingest.
+and the clique checks use, makes one pass over one of three stored
+forms, chosen by entry counts alone: the dense 0/1 matrix of A when the
+sparser of A and the non-edge adjacency Ā still holds at least 9/20 of
+the n² entries, else the CSR of whichever of A and Ā has fewer entries.
+The 9/20 comes from a crossover table (tools/operator_crossover.py,
+committed in BENCH_9.json) of dense against sparse passes for n from 100
+to 4000: at that share the dense pass is faster up to n = 1000, while
+at n = 2000 and 4000 it ranges from 3% slower to 14% faster over two
+runs of the table.  The operator is built on the first pass, not at
+ingest.
 """
 
 from __future__ import annotations
@@ -109,54 +117,112 @@ class Graph:
         keep = src < self.indices
         return np.column_stack([src[keep], self.indices[keep]])
 
-    def _complement_side(self) -> bool:
-        # A has 2m stored entries and the non-edge adjacency Ā has
-        # n(n-1) - 2m; a tie keeps A
-        return 4 * self.edge_count > self.n * (self.n - 1)
-
     @cached_property
-    def _operator(self) -> sp.csr_matrix:
-        """0/1 CSR of Ā when it has fewer entries than A, else of A; built
-        on the first pass."""
-        if self._complement_side():
-            indptr, indices = _complement_structure(self)
-        else:
-            indptr, indices = self.indptr, self.indices
-        data = np.ones(len(indices), dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+    def _stored_operator(self) -> tuple[np.ndarray | sp.csr_matrix, bool]:
+        """(stored operator, whether it is Ā), built on the first pass.
+
+        Of the three stored forms this keeps one by entry counts alone:
+
+        * the dense float64 0/1 matrix of A, once the sparser of A and Ā
+          still holds at least 9/20 of the n² entries.  A dgemv reads 8
+          bytes per entry in order, a CSR pass 12 per stored entry plus a
+          gather of u through them.  In the crossover table of
+          BENCH_9.json (n from 100 to 4000, BLAS on one thread, two
+          runs) the dense pass at 9/20 is 1.08-2.15x as fast for
+          n <= 1000, but from 3% slower to 14% faster at n = 2000 and
+          4000, so near the lower edge of the band it is not always the
+          faster form; at 7/20 it is up to 24% slower.  Its memory, 8n²
+          bytes, stays within 1.5x of the CSR it replaces;
+        * else the 0/1 CSR of Ā when it has fewer entries than A
+          (4·edge_count > n(n-1));
+        * else the 0/1 CSR of A (a tie between A and Ā keeps A).
+        """
+        n, stored = self.n, 2 * self.edge_count
+        non_edges = n * (n - 1) - stored
+        if 20 * min(stored, non_edges) >= 9 * n * n:
+            return _dense_adjacency(self), False
+        if non_edges < stored:
+            return _csr(n, *_complement_structure(self)), True
+        return _csr(n, self.indptr, self.indices), False
+
+    # the two halves of _stored_operator, for inspection
+    @property
+    def _operator(self) -> np.ndarray | sp.csr_matrix:
+        return self._stored_operator[0]
+
+    def _complement_side(self) -> bool:
+        return self._stored_operator[1]
 
     def adj_matvec(self, u: np.ndarray) -> np.ndarray:
-        """Adjacency-matrix product A @ u in one sparse pass over whichever
-        of A and Ā has fewer entries.
+        """Adjacency-matrix product A @ u in one pass over the stored
+        operator (see _stored_operator): a dense dgemv over A on half-dense
+        graphs, else a sparse pass over whichever of A and Ā has fewer
+        entries.
 
         A = J - I - Ā, so on the complement side A u = (sum(u) - u) - Ā u.
-        For a 0/1 vector u either side gives exact integer counts.
+        For a 0/1 vector u every form gives exact integer counts.
         """
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.n,):
             raise ValueError(f"vector has shape {u.shape}, expected ({self.n},)")
         if self.n == 0:
             return np.zeros(0)
-        if self._complement_side():
-            return (float(u.sum()) - u) - self._operator @ u
-        return self._operator @ u
+        op, complement = self._stored_operator
+        au = _dense_pass(op, u) if isinstance(op, np.ndarray) else op @ u
+        if complement:
+            return (float(u.sum()) - u) - au
+        return au
+
+
+# Largest dgemv of the dense pass, in matrix entries.  The OpenBLAS in
+# numpy's wheels splits a dgemv of 460,800 entries or more (a square one
+# from n = 679) across its threads, and the split changes how some rows'
+# sums are grouped; a smaller one runs on the calling thread.
+_GEMV_ENTRIES = 1 << 18
+
+
+def _dense_pass(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """a @ u by one dgemv per block of rows, each below the size at which
+    BLAS starts threads, so the result does not depend on the thread
+    count (at n <= 512 the block is the whole matrix)."""
+    out = np.empty(len(a))
+    rows = max(1, _GEMV_ENTRIES // len(a))
+    for lo in range(0, len(a), rows):
+        np.matmul(a[lo:lo + rows], u, out=out[lo:lo + rows])
+    return out
+
+
+def _csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+    data = np.ones(len(indices), dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _flat_keys(g: Graph) -> np.ndarray:
+    """The flat positions v*n + w of g's 2m stored entries, ascending."""
+    keys = np.repeat(np.arange(g.n, dtype=np.int64) * g.n, np.diff(g.indptr))
+    keys += g.indices
+    return keys
+
+
+def _dense_adjacency(g: Graph) -> np.ndarray:
+    """A as a dense float64 0/1 matrix, written in one scatter."""
+    a = np.zeros((g.n, g.n))
+    a.reshape(-1)[_flat_keys(g)] = 1.0
+    return a
 
 
 def _complement_structure(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """indptr and indices of Ā, the non-edges of g without the diagonal.
 
-    Marks the non-edges in an n x n bool mask through the flat keys
-    v*n + w of g's entries.  Taken only when Ā has fewer entries than A,
-    so neither the key array nor Ā's own is longer than g.indices.
+    Marks the non-edges in an n x n bool mask through the flat keys of
+    g's entries.  Taken only when Ā has fewer entries than A, so neither
+    the key array nor Ā's own is longer than g.indices.
     """
     n = g.n
     mask = np.ones((n, n), dtype=bool)
     np.fill_diagonal(mask, False)
     flat = mask.reshape(-1)
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(g.indptr))
-    keys += g.indices
-    flat[keys] = False
-    del keys
+    flat[_flat_keys(g)] = False
     keys = np.flatnonzero(flat)
     del mask, flat
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
@@ -215,6 +281,18 @@ def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return _graph_from_pairs(n, pairs)
 
 
+def _as_text(text: str | bytes) -> str:
+    """Bytes decoded as ASCII, each other byte kept as a lone surrogate.
+
+    Comment lines may hold any bytes; the line readers refuse a
+    surrogate anywhere else by line number.  No surrogate is a line
+    break, so lines are numbered as in the bytes.
+    """
+    if isinstance(text, bytes):
+        return text.decode("ascii", errors="surrogateescape")
+    return text
+
+
 def parse_dimacs(text: str | bytes) -> Graph:
     """Parse DIMACS ASCII clique format.
 
@@ -228,8 +306,7 @@ def parse_dimacs(text: str | bytes) -> Graph:
     vectorised pass; any other text, including every malformed one, goes
     through the line-by-line reader, which names the offending line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    text = _as_text(text)
     parsed = _standard_dimacs(text)
     if parsed is None:
         parsed = _dimacs_lines(text)
@@ -244,8 +321,15 @@ def parse_dimacs(text: str | bytes) -> Graph:
     return g
 
 
-# Comment lines starting at column 0 (holding none of the characters
-# str.splitlines breaks on), then the problem line with single spaces.
+# The line breaks of the line readers: those of str.splitlines that are
+# ASCII, so on ASCII text the two split alike.  U+0085, U+2028 and U+2029
+# stay inside their line, where the non-ASCII check finds them.
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
+# What str.strip removes from ASCII text.  Stripping only these leaves a
+# line's non-ASCII whitespace (U+00A0, U+3000) in place to be refused.
+_ASCII_SPACE = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+# Comment lines starting at column 0 (holding no _LINE_BREAK), then the
+# problem line with single spaces.
 _DIMACS_HEADER = re.compile(rb"(?:c[^\n\r\x0b\x0c\x1c-\x1e]*\n)*p edge ([0-9]+) ([0-9]+)\n")
 # A label of at most 18 decimal digits cannot overflow int64.
 _MAX_DIGITS = 18
@@ -317,9 +401,15 @@ def _dimacs_lines(text: str) -> tuple[int, int, np.ndarray]:
     n = None
     declared_m = None
     pairs: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    ascii_text = text.isascii()
+    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip(_ASCII_SPACE)
+        if line.startswith("c"):
+            continue
+        if not (ascii_text or line.isascii()):
+            raise DimacsFormatError(line_no, f"non-ASCII character in {line!r}")
+        if not line:
             continue
         tokens = line.split()
         if tokens[0] == "p":
@@ -389,15 +479,20 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
     starting with `%` or `#` are comments.  Malformed lines raise
     CoordinateFormatError with the line number.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    text = _as_text(text)
     header = None
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("%", "#")):
+    ascii_text = text.isascii()
+    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip(_ASCII_SPACE)
+        if line.startswith(("%", "#")):
+            continue
+        if not (ascii_text or line.isascii()):
+            raise CoordinateFormatError(line_no, f"non-ASCII character in {line!r}")
+        if not line:
             continue
         tokens = line.split()
         if header is None:
@@ -503,10 +598,10 @@ def _clique_check(g: Graph, s: Iterable[int]) -> tuple[bool, np.ndarray]:
     """(s is a clique, mask of the vertices adjacent to every member of s).
 
     Both come from one count, A @ 1_s, taken in a single pass of
-    adj_matvec (over Ā on dense graphs; the counts are exact integers on
-    either side): s is a clique when every member has |s| - 1 neighbours
-    in s.  A member has at most |s| - 1, so a count of |s| marks exactly
-    the outside vertices that would extend s.
+    adj_matvec (the counts are exact integers on every stored form): s
+    is a clique when every member has |s| - 1 neighbours in s.  A member
+    has at most |s| - 1, so a count of |s| marks exactly the outside
+    vertices that would extend s.
     """
     arr = _as_vertex_array(g, s)
     indicator = np.zeros(g.n)

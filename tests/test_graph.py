@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,16 +125,22 @@ class TestConstruction:
 
 
 class TestAdjacencyOperator:
-    """adj_matvec runs on A or on the non-edge adjacency Ā, whichever
-    stores fewer entries; both must give A u."""
+    """adj_matvec runs on the dense matrix of A when the sparser of A and
+    the non-edge adjacency Ā holds at least 9/20 of the n² entries, else
+    on whichever of A and Ā stores fewer entries; all must give A u."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(0, 25), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     @example(n=0, density=0.5, seed=0)  # no vertices
     @example(n=9, density=0.0, seed=0)  # no edges
     @example(n=9, density=1.0, seed=0)  # complete: Ā is empty
-    @example(n=12, density=0.5, seed=0)  # 33 edges, 4m = n(n-1): the tie keeps A
-    @example(n=13, density=0.5, seed=1)  # 39 edges, 4m = n(n-1)
+    @example(n=9, density=0.5, seed=0)  # 18 edges, 4m = n(n-1) below the dense band: the tie keeps A
+    @example(n=12, density=0.5, seed=0)  # 33 edges, 4m = n(n-1), inside the dense band
+    @example(n=13, density=0.5, seed=1)  # 39 edges, 4m = n(n-1), inside the dense band
+    @example(n=20, density=89 / 190, seed=0)  # 2m = 178 < 9n²/20 = 180: A, just below the band
+    @example(n=20, density=90 / 190, seed=0)  # 2m = 180: dense, the band's lower edge
+    @example(n=20, density=100 / 190, seed=0)  # n(n-1) - 2m = 180: dense, the band's upper edge
+    @example(n=20, density=101 / 190, seed=0)  # n(n-1) - 2m = 178: Ā, just above the band
     def test_matches_the_dense_product(self, n, density, seed):
         rng = np.random.default_rng(seed)
         pairs = np.array(list(combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
@@ -141,8 +152,57 @@ class TestAdjacencyOperator:
         assert np.allclose(g.adj_matvec(u), a @ u, rtol=0.0, atol=1e-12 * (1.0 + np.abs(u).sum()))
         s = (rng.random(n) < 0.5).astype(np.float64)
         assert np.array_equal(g.adj_matvec(s), a @ s)
-        assert g._complement_side() == (4 * m > n * (n - 1))
-        assert g._operator.nnz == min(2 * m, n * (n - 1) - 2 * m)
+        op, complement = g._operator, g._complement_side()
+        non_edges = n * (n - 1) - 2 * m
+        if 20 * min(2 * m, non_edges) >= 9 * n * n:
+            assert isinstance(op, np.ndarray) and not complement
+            assert np.array_equal(op, a) and np.count_nonzero(op) == 2 * m
+        else:
+            assert complement == (non_edges < 2 * m)
+            assert op.nnz == min(2 * m, non_edges) and np.all(op.data == 1.0)
+            assert np.array_equal(op.toarray(), 1.0 - np.eye(n) - a if complement else a)
+
+    def test_dense_pass_does_not_depend_on_the_blas_thread_count(self):
+        # the dense form of a 700-vertex graph has 490,000 entries, enough
+        # for one dgemv over it to split across two OpenBLAS threads and
+        # group its sums differently
+        script = (
+            "import hashlib, numpy as np\n"
+            "from rankclique import SolverConfig, random_graph, solve\n"
+            "g = random_graph(700, 0.5, 1)\n"
+            "h = hashlib.sha256()\n"
+            "for seed in range(5):\n"
+            "    h.update(g.adj_matvec(np.random.default_rng(seed).random(g.n)).tobytes())\n"
+            "assert isinstance(g._operator, np.ndarray)\n"
+            "r = solve(g, SolverConfig(seed=0))\n"
+            "h.update(r.u_final.tobytes())\n"
+            "print(h.hexdigest(), r.iterations, r.clique.vertices)\n"
+        )
+        src = str(Path(graph_module.__file__).resolve().parent.parent)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert runs[0] == runs[1]
+
+    def test_operator_crossover_times_both_forms(self):
+        # tools/operator_crossover.py, which pins the dense band's 9/20,
+        # builds the forms with graph.py's private helpers; one small
+        # graph in a fresh process (the tool sets BLAS to one thread)
+        tool = Path(__file__).resolve().parent.parent / "tools" / "operator_crossover.py"
+        script = (
+            "import json, runpy\n"
+            f"row = runpy.run_path({str(tool)!r})['one_graph'](100, 0.45, 0, batches=1)\n"
+            "print(json.dumps(row))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+        row = json.loads(out)
+        assert 0.44 < row["sparser_side_share"] < 0.47 and row["sparse_side"] == "A"
+        assert row["dense_us"] > 0 and row["sparse_us"] > 0
 
 
 class TestDimacs:
@@ -180,6 +240,27 @@ class TestDimacs:
     def test_non_integer_edge(self):
         with pytest.raises(DimacsFormatError, match="non-integer"):
             parse_dimacs("p edge 2 1\ne 1 x\n")
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            (b"p edge 2 1\ne 1 \xff\n", 2),  # a byte outside ASCII
+            ("p edge 2 1\ne 1 \uff12\n", 2),  # a fullwidth digit two
+            (b"c ok\np edge 2 1\ne 1 2 \xc3\xa9\n", 3),  # UTF-8 after the last field
+            ("p edge 2 1\ne 1 2\u00a0\n", 2),  # a no-break space, which str.strip drops
+            ("p edge 2 1\n\u3000\ne 1 2\n", 2),  # a line of ideographic space
+            ("p edge 2 1\u2028e 1 2\n", 1),  # a line separator, which str.splitlines breaks on
+        ],
+    )
+    def test_non_ascii_outside_comments_names_line(self, text, line_no):
+        with pytest.raises(DimacsFormatError, match="non-ASCII") as exc:
+            parse_dimacs(text)
+        assert exc.value.line_no == line_no
+
+    def test_comments_take_any_bytes(self):
+        text = "c caf\u00e9 \u2460\u2028 x\np edge 2 1\ne 1 2\n"
+        for form in (text, text.encode("utf-8"), b"c \xff\x85\xfe\np edge 2 1\ne 1 2\n"):
+            assert parse_dimacs(form).edge_count == 1
 
     def test_declared_count_mismatch_warns(self):
         with pytest.warns(DimacsWarning, match="declares 5 edges, parsed 1"):
@@ -334,6 +415,25 @@ class TestCoordinateMatrix:
     def test_negative_value(self):
         with pytest.raises(CoordinateFormatError, match="negative value"):
             parse_coordinate_matrix("2 2 1\n1 1 -2.0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"2 2 1\n1 \xff 1\n",  # a byte outside ASCII
+            "2 2 1\n1 2 \uff11\n",  # a fullwidth digit one as the value
+            "2 2 1\n\uff11 2 1\n",  # and as a row index
+            "2 2 1\n1 2 1\u00a0\n",  # a no-break space, which str.strip drops
+            "2 2 1\n1 2 1\u20281 1 1\n",  # a line separator, which str.splitlines breaks on
+        ],
+    )
+    def test_non_ascii_outside_comments_names_line(self, text):
+        with pytest.raises(CoordinateFormatError, match="non-ASCII") as exc:
+            parse_coordinate_matrix(text)
+        assert exc.value.line_no == 2
+
+    def test_comments_take_any_bytes(self):
+        for form in (b"% \xff\x85\n# caf\xc3\xa9\n2 2 1\n1 2 1\n", "% caf\u00e9\n2 2 1\n1 2 1\n"):
+            assert parse_coordinate_matrix(form).nnz == 1
 
 
 class TestCooccurrence:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from rankclique import (
@@ -9,12 +13,15 @@ from rankclique import (
     cmd_ingest_text,
     cmd_solve,
     cmd_verify,
+    Graph,
     cooccurrence_graph,
     graph_from_edge_list,
+    pelillo_step,
     random_graph,
     read_dimacs,
     records_to_csv,
     run_algorithm,
+    run_baseline,
     serialize_dimacs,
     solve,
 )
@@ -177,6 +184,31 @@ class TestCmdVerify:
         report = cmd_verify(random_graph(12, 0.5, 0), "r", seeds=range(3))
         assert report.all_passed
         assert calls == [(s, {"record_iterates": True}) for s in range(3)]
+
+    def test_one_adjacency_pass_per_replicator_step(self, monkeypatch):
+        # the Motzkin-Straus check reads u^T A u and the replicator step
+        # off one pass; its line stays the one the pelillo_step loop gives
+        g = random_graph(12, 0.5, 0)
+        _, steps, converged = run_baseline(g, "pelillo")
+        assert converged
+        u, worst_q = np.full(g.n, 1.0 / g.n), 0.0
+        for _ in range(steps):
+            worst_q = max(worst_q, float(u @ g.adj_matvec(u)))
+            u = pelillo_step(g, u)
+        callers = Counter()
+        adj_matvec = Graph.adj_matvec
+
+        def counted(self, u):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return adj_matvec(self, u)
+
+        monkeypatch.setattr(Graph, "adj_matvec", counted)
+        report = cmd_verify(g, "r", seeds=(0,))
+        checks = {c.name: c for c in report.checks}
+        assert checks["motzkin_straus_bound"].passed
+        assert checks["motzkin_straus_bound"].detail == f"max u^T A u {worst_q:.12f} vs 1 - 1/4 + 1e-9"
+        # passes made by the check itself, and by pelillo_step through _masses
+        assert callers["cmd_verify"] + callers["_masses"] == steps
 
     def test_a_raising_seed_is_reported_once(self, monkeypatch):
         def failing_solve(g, cfg, **kw):

@@ -1,0 +1,137 @@
+"""Crossover table for the stored forms of Graph.adj_matvec's operator.
+
+    python3 tools/operator_crossover.py > crossover.json
+
+For each vertex count n and each share f of the n² entries, builds a
+few random graphs whose edges hold about that share (the sparser of A
+and Ā at f = 0.50 is A or Ā by a few entries) and times one adj_matvec
+pass with each form, as adj_matvec makes it: the dense float64 0/1
+matrix of A (one dgemv per row block) and the CSR that the sparser-side
+rule stores.  BLAS runs on one thread, as in perfbench.  Batches of
+passes alternate between the two forms; a graph's time per pass is the
+median over its batches, and each cell reports the medians over its
+graphs of the times and of their ratio, sparse / dense (above 1 the
+dense pass is faster).  Prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rankclique.graph import Graph, _complement_structure, _csr, _dense_adjacency, _dense_pass  # noqa: E402
+
+SIZES = (100, 400, 1000, 2000, 4000)
+SHARES = (0.35, 0.40, 0.45, 0.50)
+GRAPHS = 3  # per cell, seeds SEED * 10000 + n onwards
+BATCHES = 15  # per graph and form
+BATCH_SECONDS = 0.05
+SEED = 1
+
+
+def half_dense_graph(n: int, p: float, seed: int) -> Graph:
+    """Bernoulli graph with edge probability p, drawn one row block of
+    the upper triangle at a time (random_graph holds all n(n-1)/2 pairs)."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((n, n), dtype=bool)
+    for lo in range(0, n, 256):
+        hi = min(n, lo + 256)
+        mask[lo:hi] = rng.random((hi - lo, n)) < p
+    mask = np.triu(mask, 1)
+    mask |= mask.T
+    keys = np.flatnonzero(mask)
+    del mask
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return Graph(n=n, indptr=indptr, indices=keys, edge_count=len(keys) // 2)
+
+
+def per_pass(product, u: np.ndarray, passes: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(passes):
+        product(u)
+    return (time.perf_counter() - t0) / passes
+
+
+def one_graph(n: int, share: float, seed: int, batches: int = BATCHES) -> dict:
+    """Times per pass of the two forms on one graph, as adj_matvec makes
+    them: _dense_pass over the dense matrix, and the CSR product with the
+    complement correction when the sparser side is Ā."""
+    g = half_dense_graph(n, share, seed)
+    stored = 2 * g.edge_count
+    non_edges = n * (n - 1) - stored
+    if non_edges < stored:
+        a_bar = _csr(n, *_complement_structure(g))
+
+        def sparse(u):
+            return (float(u.sum()) - u) - a_bar @ u
+    else:
+        a_csr = _csr(n, g.indptr, g.indices)
+
+        def sparse(u):
+            return a_csr @ u
+
+    a_dense = _dense_adjacency(g)
+
+    def dense(u):
+        return _dense_pass(a_dense, u)
+
+    u = np.random.default_rng(seed).random(n)
+    assert np.allclose(sparse(u), dense(u))
+    passes = max(1, round(BATCH_SECONDS / per_pass(dense, u, 3)))
+    times = {"dense": [], "sparse": []}
+    for b in range(batches):
+        order = ("dense", "sparse") if b % 2 == 0 else ("sparse", "dense")
+        for form in order:
+            times[form].append(per_pass(dense if form == "dense" else sparse, u, passes))
+    d, s = statistics.median(times["dense"]), statistics.median(times["sparse"])
+    return {
+        "sparser_side_share": min(stored, non_edges) / (n * n),
+        "sparse_side": "complement" if non_edges < stored else "A",
+        "dense_us": d * 1e6,
+        "sparse_us": s * 1e6,
+        "sparse_over_dense": s / d,
+    }
+
+
+def cell(n: int, share: float) -> dict:
+    seeds = range(SEED * 10_000 + n, SEED * 10_000 + n + GRAPHS)
+    graphs = [one_graph(n, share, seed) for seed in seeds]
+    row = {"n": n, "share": share}
+    for key, digits in (("sparser_side_share", 4), ("dense_us", 2), ("sparse_us", 2), ("sparse_over_dense", 3)):
+        row[key] = round(statistics.median(g[key] for g in graphs), digits)
+    row["sparse_side"] = sorted({g["sparse_side"] for g in graphs})
+    row["sparse_over_dense_per_graph"] = [round(g["sparse_over_dense"], 3) for g in graphs]
+    return row
+
+
+def main() -> None:
+    rows = []
+    for n in SIZES:
+        for share in SHARES:
+            rows.append(cell(n, share))
+            print(json.dumps(rows[-1]), file=sys.stderr)
+    print(json.dumps({
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, "
+                   f"numpy {np.__version__}, scipy {scipy.__version__}, BLAS on 1 thread",
+        "command": "python3 tools/operator_crossover.py",
+        "rows": rows,
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()
