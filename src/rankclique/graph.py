@@ -3,17 +3,19 @@
 Graphs are simple and undirected: no self-loops, no duplicate edges,
 0-based vertex indices internally.  Constructors accept dirty edge input
 (duplicates, swapped endpoints, self-loops) and canonicalize it with one
-sort of the keys src*n + dst over both orientations; the DIMACS reader
-and the coordinate-matrix reader report malformed lines by line number,
-a non-ASCII character outside a comment line included.  DIMACS files
-use 1-based vertex labels on disk.
+sort of the keys src*n + dst over both orientations.  The DIMACS reader
+and the coordinate-matrix reader share one line tokenizer (_records),
+which reports malformed lines by line number, a non-ASCII character
+outside a comment line included.  Files are read as bytes, so a comment
+line in a file may hold any bytes.  DIMACS files use 1-based vertex
+labels on disk.
 
 DIMACS text in the layout serialize_dimacs writes (comment lines, one
-`p edge n m` line, then `e u v` lines with single spaces and LF endings)
-is read in one vectorised pass over its bytes; every other layout, and
-every malformed file, goes through the line-by-line reader.  Both readers
-refuse a header asking for more than MAX_VERTICES vertices before any
-graph array is allocated.
+`p edge n m` line, then `e u v` lines with single spaces and LF or CRLF
+endings) is read in one vectorised pass over its bytes; every other
+layout, and every malformed file, goes through the line-by-line reader.
+Both readers refuse a header asking for more than MAX_VERTICES vertices
+before any graph array is allocated.
 
 Graph.adj_matvec, the one adjacency product the solver, the baselines
 and the clique checks use, makes one pass over one of three stored
@@ -35,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,20 +57,20 @@ class EdgeRangeError(ValueError):
         super().__init__(f"edge {pair} out of range for graph with {n} vertices")
 
 
-class DimacsFormatError(ValueError):
+class _LineError(ValueError):
+    """A line of a text format failed to parse; carries the 1-based line number."""
+
+    def __init__(self, line_no: int, message: str):
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {message}")
+
+
+class DimacsFormatError(_LineError):
     """A DIMACS line failed to parse; carries the 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
 
-
-class CoordinateFormatError(ValueError):
+class CoordinateFormatError(_LineError):
     """A coordinate-matrix line failed to parse; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
 
 
 class DimacsWarning(UserWarning):
@@ -281,18 +283,6 @@ def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return _graph_from_pairs(n, pairs)
 
 
-def _as_text(text: str | bytes) -> str:
-    """Bytes decoded as ASCII, each other byte kept as a lone surrogate.
-
-    Comment lines may hold any bytes; the line readers refuse a
-    surrogate anywhere else by line number.  No surrogate is a line
-    break, so lines are numbered as in the bytes.
-    """
-    if isinstance(text, bytes):
-        return text.decode("ascii", errors="surrogateescape")
-    return text
-
-
 def parse_dimacs(text: str | bytes) -> Graph:
     """Parse DIMACS ASCII clique format.
 
@@ -302,12 +292,17 @@ def parse_dimacs(text: str | bytes) -> Graph:
     it disagrees with the parsed count a DimacsWarning is issued and the
     parsed count wins.  More than MAX_VERTICES vertices is an error.
 
-    Text in the standard layout (see _standard_dimacs) is read in one
-    vectorised pass; any other text, including every malformed one, goes
-    through the line-by-line reader, which names the offending line.
+    Bytes are read as ASCII, so a comment line may hold any bytes; a
+    non-ASCII character anywhere else is an error naming its line.  Text
+    in the standard layout (see _standard_dimacs), LF or CRLF ends
+    alike, is read in one vectorised pass over its bytes; any other
+    text, including every malformed one, goes through the line-by-line
+    reader, which names the offending line.
     """
-    text = _as_text(text)
-    parsed = _standard_dimacs(text)
+    # UTF-8 puts no ASCII byte inside a non-ASCII character, so a str
+    # has the same lines and ASCII fields as its encoding
+    data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else text
+    parsed = _standard_dimacs(data)
     if parsed is None:
         parsed = _dimacs_lines(text)
     n, declared_m, pairs = parsed
@@ -335,17 +330,44 @@ _DIMACS_HEADER = re.compile(rb"(?:c[^\n\r\x0b\x0c\x1c-\x1e]*\n)*p edge ([0-9]+) 
 _MAX_DIGITS = 18
 
 
-def _standard_dimacs(text: str) -> tuple[int, int, np.ndarray] | None:
-    """(n, declared m, 0-based pairs) if text is in the standard layout, else None.
+def _records(
+    text: str | bytes, comment: str | tuple[str, ...], error: type[_LineError]
+) -> Iterator[tuple[int, str, list[str]]]:
+    """(1-based line number, line, its fields) for each line of text that
+    is neither blank nor a comment (a line starting with `comment`).
+
+    Lines are stripped of ASCII whitespace only, and a non-ASCII
+    character outside a comment line raises `error` naming its line.
+    Bytes are decoded as ASCII with each other byte kept as a lone
+    surrogate, which is no line break, so lines are numbered as in the
+    bytes and a comment line may hold any bytes.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("ascii", errors="surrogateescape")
+    ascii_text = text.isascii()
+    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip(_ASCII_SPACE)
+        if line.startswith(comment):
+            continue
+        if not (ascii_text or line.isascii()):
+            raise error(line_no, f"non-ASCII character in {line!r}")
+        if line:
+            yield line_no, line, line.split()
+
+
+def _standard_dimacs(data: bytes) -> tuple[int, int, np.ndarray] | None:
+    """(n, declared m, 0-based pairs) if data is in the standard layout, else None.
 
     The standard layout is the one serialize_dimacs writes: the header
     above, then only `e <digits> <digits>` lines, single spaces, each
-    ending in LF, every endpoint in 1..n.  For such text the answer is
-    what _dimacs_lines returns.
+    ending in LF or CRLF, every endpoint in 1..n.  For such data the
+    answer is what _dimacs_lines returns.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
+    if b"\r" in data:
+        # the line reader splits at CRLF as at LF; a lone CR is left in
+        # place, to fail the checks below
+        data = data.replace(b"\r\n", b"\n")
     header = _DIMACS_HEADER.match(data)
     if header is None:
         return None
@@ -369,49 +391,24 @@ def _standard_dimacs(text: str) -> tuple[int, int, np.ndarray] | None:
         return None
     if np.count_nonzero((body >= ord("0")) & (body <= ord("9"))) != body.size - 4 * ends.size:
         return None
-    labels = _decimal_fields(body, np.concatenate([starts + 2, second + 1]), np.concatenate([second, ends]))
-    if labels is None or labels.min() < 1 or labels.max() > n:
+    # fromstring would shift the pairs past an empty field and saturates
+    # an overflowing one without a warning
+    for width in (second - first - 1, ends - second - 1):
+        if width.min() < 1 or width.max() > _MAX_DIGITS:
+            return None
+    labels = np.fromstring(data[header.end():].replace(b"e", b" "), dtype=np.int64, sep=" ")
+    if labels.min() < 1 or labels.max() > n:
         return None
-    return n, declared_m, labels.reshape(2, -1).T - 1
+    return n, declared_m, labels.reshape(-1, 2) - 1
 
 
-def _decimal_fields(buf: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """Values of the all-digit fields buf[first:end], or None if a field
-    is empty or longer than _MAX_DIGITS."""
-    width = end - first
-    if width.min() < 1 or width.max() > _MAX_DIGITS:
-        return None
-    value = np.empty(len(first), dtype=np.int64)
-    for w in np.flatnonzero(np.bincount(width)):
-        rows = np.flatnonzero(width == w)
-        at = first[rows]
-        # accumulate the raw bytes, then take off the w '0's at once;
-        # 18 bytes of at most '9' stay below 2**63
-        v = np.zeros(len(rows), dtype=np.int64)
-        for j in range(w):
-            v *= 10
-            v += buf[at + j]
-        value[rows] = v - ord("0") * ((10 ** int(w) - 1) // 9)
-    return value
-
-
-def _dimacs_lines(text: str) -> tuple[int, int, np.ndarray]:
+def _dimacs_lines(text: str | bytes) -> tuple[int, int, np.ndarray]:
     """(n, declared m, 0-based pairs) read line by line, for any layout
     the format allows; raises DimacsFormatError naming the first bad line."""
     n = None
     declared_m = None
     pairs: list[tuple[int, int]] = []
-    ascii_text = text.isascii()
-    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip(_ASCII_SPACE)
-        if line.startswith("c"):
-            continue
-        if not (ascii_text or line.isascii()):
-            raise DimacsFormatError(line_no, f"non-ASCII character in {line!r}")
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, line, tokens in _records(text, "c", DimacsFormatError):
         if tokens[0] == "p":
             if n is not None:
                 raise DimacsFormatError(line_no, "duplicate problem line")
@@ -445,7 +442,7 @@ def _dimacs_lines(text: str) -> tuple[int, int, np.ndarray]:
 
 
 def read_dimacs(path: str | Path) -> Graph:
-    return parse_dimacs(Path(path).read_text())
+    return parse_dimacs(Path(path).read_bytes())
 
 
 def serialize_dimacs(g: Graph) -> str:
@@ -479,22 +476,11 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
     starting with `%` or `#` are comments.  Malformed lines raise
     CoordinateFormatError with the line number.
     """
-    text = _as_text(text)
     header = None
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
-    ascii_text = text.isascii()
-    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip(_ASCII_SPACE)
-        if line.startswith(("%", "#")):
-            continue
-        if not (ascii_text or line.isascii()):
-            raise CoordinateFormatError(line_no, f"non-ASCII character in {line!r}")
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, line, tokens in _records(text, ("%", "#"), CoordinateFormatError):
         if header is None:
             if len(tokens) != 3:
                 raise CoordinateFormatError(line_no, f"malformed header {line!r}")
@@ -532,9 +518,8 @@ def _shared_term_counts(doc_term_text: str | bytes) -> sp.coo_matrix:
     # X X^T of the binarized doc-term matrix X: entry (i, j) counts the
     # distinct words documents i and j share
     x = parse_coordinate_matrix(doc_term_text)
-    x.data = np.ones_like(x.data)
-    x.sum_duplicates()
-    x.data = np.minimum(x.data, 1.0)
+    # tocsr has summed repeated (row, col) entries
+    x.data = (x.data != 0).astype(np.float64)
     return (x @ x.T).tocoo()
 
 

@@ -452,7 +452,7 @@ def cmd_ingest_text(
     coord_path = Path(coord_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shared = _shared_term_counts(coord_path.read_text())
+    shared = _shared_term_counts(coord_path.read_bytes())
     results: list[IngestResult] = []
     for p in p_values:
         g = _cooccurrence_from_counts(shared, p)

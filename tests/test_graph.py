@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from rankclique import (
     parse_coordinate_matrix,
     parse_dimacs,
     random_graph,
+    read_dimacs,
     serialize_dimacs,
 )
 from conftest import small_random_graphs
@@ -358,6 +360,61 @@ class TestDimacs:
         with pytest.raises(DimacsFormatError, match="limit"):
             parse_dimacs("p edge 1000000000 0\n")
 
+    def test_files_are_read_as_bytes(self, tmp_path):
+        path = tmp_path / "g.clq"
+        path.write_bytes(b"c \xff\np edge 2 1\ne 1 2\n")
+        assert read_dimacs(path).edge_count == 1
+        path.write_bytes(b"p edge 2 1\ne 1 \xff\n")
+        with pytest.raises(DimacsFormatError, match="non-ASCII") as exc:
+            read_dimacs(path)
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_standard_file_skips_the_line_reader(self, tmp_path, monkeypatch, newline):
+        def line_reader(text):
+            raise AssertionError("standard file reached the line reader")
+
+        g = random_graph(200, 0.5, seed=8)
+        expected = parse_dimacs(serialize_dimacs(g))
+        data = b"c written on \xe9lsewhere\n" + serialize_dimacs(g).encode("ascii")
+        path = tmp_path / "g.clq"
+        path.write_bytes(data.replace(b"\n", newline))
+        monkeypatch.setattr(graph_module, "_dimacs_lines", line_reader)
+        # a deprecation in the vectorised pass fails here, not only warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the file, and its text as a str with a non-ASCII comment
+            parsed = [read_dimacs(path), parse_dimacs(path.read_bytes().decode("latin-1"))]
+        for h in parsed:
+            assert h.edge_count == expected.edge_count
+            assert np.array_equal(h.indptr, expected.indptr)
+            assert np.array_equal(h.indices, expected.indices)
+
+    def test_labels_of_19_digits_in_a_standard_file(self):
+        g = random_graph(30, 0.5, seed=2)
+        lines = serialize_dimacs(g).splitlines(keepends=True)
+        k = len(lines) // 2
+        _, u, v = lines[k - 1].split()
+        long_zeros = lines.copy()
+        long_zeros[k - 1] = f"e {u} {v.zfill(19)}\n"
+        h = parse_dimacs("".join(long_zeros))
+        assert np.array_equal(h.indptr, g.indptr)
+        assert np.array_equal(h.indices, g.indices)
+        overflow = lines.copy()
+        overflow[k - 1] = "e 1 9999999999999999999\n"
+        with pytest.raises(DimacsFormatError, match="out of range") as exc:
+            parse_dimacs("".join(overflow))
+        assert exc.value.line_no == k
+
+    @pytest.mark.parametrize("bad", ["e 1 \n", "e  2\n"])
+    def test_empty_field_in_a_standard_file_names_its_line(self, bad):
+        lines = serialize_dimacs(random_graph(30, 0.5, seed=2)).splitlines(keepends=True)
+        k = len(lines) // 2
+        lines[k - 1] = bad
+        with pytest.raises(DimacsFormatError, match="malformed edge line") as exc:
+            parse_dimacs("".join(lines))
+        assert exc.value.line_no == k
+
 
 class TestRandomGraph:
     def test_deterministic(self):
@@ -451,6 +508,11 @@ class TestCooccurrence:
         text = "2 1 2\n1 1 5\n2 1 1\n"
         assert cooccurrence_graph(text, p=1).edge_count == 1
         assert cooccurrence_graph(text, p=2).edge_count == 0
+
+    def test_explicit_zeros_are_no_word(self):
+        assert cooccurrence_graph("2 2 2\n1 1 0\n2 1 1\n", p=1).edge_count == 0
+        # a repeated (row, col) counts once its values sum above zero
+        assert cooccurrence_graph("2 1 3\n1 1 0\n1 1 2\n2 1 1\n", p=1).edge_count == 1
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -8,6 +8,7 @@ import pytest
 
 from rankclique import (
     BenchRecord,
+    CoordinateFormatError,
     cmd_bench_dimacs,
     cmd_bench_random,
     cmd_ingest_text,
@@ -241,6 +242,15 @@ class TestCmdIngestText:
         assert g.edges().tolist() == [[0, 1]]
         for r in results:
             assert r.path.read_text() == serialize_dimacs(cooccurrence_graph(COORD_TOY, r.p))
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
+        coord = tmp_path / "bad.txt"
+        coord.write_bytes(b"% caf\xe9\n2 2 1\n1 \xff 1\n")
+        with pytest.raises(CoordinateFormatError, match="non-ASCII") as exc:
+            cmd_ingest_text(coord, [1], tmp_path / "out")
+        assert exc.value.line_no == 3
+        assert main(["ingest-text", str(coord), "--p", "1", "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: non-ASCII")
 
 
 class TestCli:
