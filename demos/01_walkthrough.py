@@ -14,6 +14,7 @@ from rankclique import (
     enumerate_maximal_cliques,
     graph_from_edge_list,
     solve,
+    stationarity_residual,
 )
 
 edges = [
@@ -32,7 +33,8 @@ print(f"\nconverged={result.converged} after {result.iterations} iterations")
 print("final weights:", np.round(result.u_final, 4))
 print("rounded clique:", result.clique.vertices,
       f"(valid={result.clique_valid}, maximal={result.clique_maximal})")
-print(f"stationarity residual at the cap: {result.stationarity_residual_final:.2e}")
+residual = stationarity_residual(g, d_max(g), result.u_final)
+print(f"stationarity residual at the cap: {residual:.2e}")
 
 print("\nfirst few objective values:", [f"{v:.2f}" for v in result.objective_trace[:6]])
 print("last objective:", f"{result.objective_trace[-1]:.4f}",

@@ -42,29 +42,32 @@ class BaselineConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _masses(g: Graph, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    return _replicator_masses(u, g.adj_matvec(u))
+def _replicator_update(u: np.ndarray, au: np.ndarray, eta: float) -> np.ndarray:
+    """The update of u from au = A u, written over au and returned.
 
-
-def _replicator_masses(u: np.ndarray, au: np.ndarray) -> np.ndarray:
-    """u_i (A u)_i / (u^T A u) from u and its product au = A u.
-
-    Sums to 1 identically; renormalized to absorb floating-point drift.
-    pelillo_step(g, u) is _replicator_masses(u, g.adj_matvec(u)).
+    The replicator masses u_i (A u)_i / (u^T A u) sum to 1 identically
+    and are renormalized to absorb floating-point drift; with eta != 1
+    each is then raised to 1/eta (the annealed update).  pelillo_step,
+    ding_step, run_baseline and cmd_verify's Motzkin-Straus check all
+    update through here.
     """
-    q = float(u @ au)
+    q = float(u.dot(au))
     if q <= 0.0:
         raise IndependentSupportError(
             "u^T A u is not positive: support is an independent set"
         )
-    m = u * au / q
-    return m / m.sum()
+    m = np.multiply(u, au, out=au)
+    m /= q
+    m /= m.sum()
+    if eta != 1.0:
+        m **= 1.0 / eta
+    return m
 
 
 def pelillo_step(g: Graph, u: np.ndarray) -> np.ndarray:
     """One replicator update on the probability simplex."""
-    return _masses(g, u)
+    u = np.asarray(u, dtype=np.float64)
+    return _replicator_update(u, g.adj_matvec(u), 1.0)
 
 
 def ding_step(g: Graph, u: np.ndarray, eta: float) -> np.ndarray:
@@ -74,10 +77,8 @@ def ding_step(g: Graph, u: np.ndarray, eta: float) -> np.ndarray:
     """
     if not 1.0 <= eta <= 2.0:
         raise ValueError(f"eta must lie in [1, 2], got {eta}")
-    m = _masses(g, u)
-    if eta == 1.0:
-        return m
-    return m ** (1.0 / eta)
+    u = np.asarray(u, dtype=np.float64)
+    return _replicator_update(u, g.adj_matvec(u), eta)
 
 
 def run_baseline(
@@ -96,17 +97,16 @@ def run_baseline(
         raise EdgelessGraphError("no edges: baseline iteration is undefined")
 
     if kind == "pelillo":
-        u = np.full(g.n, 1.0 / g.n)
-        step = lambda v: pelillo_step(g, v)
+        u, eta = np.full(g.n, 1.0 / g.n), 1.0
     else:
-        u = np.full(g.n, g.n ** (-1.0 / cfg.eta))  # uniform point of the eta-simplex
-        step = lambda v: ding_step(g, v, cfg.eta)
+        u, eta = np.full(g.n, g.n ** (-1.0 / cfg.eta)), cfg.eta  # uniform point of the eta-simplex
 
+    delta = np.empty(g.n)
     for it in range(1, cfg.max_iterations + 1):
-        u_next = step(u)
-        delta = u_next - u
+        u_next = _replicator_update(u, g.adj_matvec(u), eta)
+        np.subtract(u_next, u, out=delta)
         u = u_next
-        if float(delta @ delta) < cfg.tol:
+        if float(delta.dot(delta)) < cfg.tol:
             return u, it, True
     return u, cfg.max_iterations, False
 

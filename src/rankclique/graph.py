@@ -32,6 +32,7 @@ ingest.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -172,7 +173,7 @@ class Graph:
         op, complement = self._stored_operator
         au = _dense_pass(op, u) if isinstance(op, np.ndarray) else op @ u
         if complement:
-            return (float(u.sum()) - u) - au
+            return np.subtract(float(u.sum()) - u, au, out=au)
         return au
 
 
@@ -186,9 +187,12 @@ _GEMV_ENTRIES = 1 << 18
 def _dense_pass(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """a @ u by one dgemv per block of rows, each below the size at which
     BLAS starts threads, so the result does not depend on the thread
-    count (at n <= 512 the block is the whole matrix)."""
-    out = np.empty(len(a))
+    count (at n <= 512 the block is the whole matrix, and one plain
+    product)."""
     rows = max(1, _GEMV_ENTRIES // len(a))
+    if rows >= len(a):
+        return a @ u
+    out = np.empty(len(a))
     for lo in range(0, len(a), rows):
         np.matmul(a[lo:lo + rows], u, out=out[lo:lo + rows])
     return out
@@ -356,6 +360,16 @@ def _records(
             yield line_no, line, line.split()
 
 
+def _integer(token: str) -> int | None:
+    """The value of a field of ASCII digits with an optional leading `-`,
+    else None.  Python's int also reads forms that no writer produces,
+    such as `+2` and `1_0`.  Fields come from _records, so they are ASCII,
+    where str.isdigit means the digits 0-9."""
+    if token.isdigit() or (token[:1] == "-" and token[1:].isdigit()):
+        return int(token)
+    return None
+
+
 def _standard_dimacs(data: bytes) -> tuple[int, int, np.ndarray] | None:
     """(n, declared m, 0-based pairs) if data is in the standard layout, else None.
 
@@ -414,10 +428,9 @@ def _dimacs_lines(text: str | bytes) -> tuple[int, int, np.ndarray]:
                 raise DimacsFormatError(line_no, "duplicate problem line")
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise DimacsFormatError(line_no, f"malformed problem line {line!r}")
-            try:
-                n, declared_m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise DimacsFormatError(line_no, f"non-integer problem line {line!r}") from None
+            n, declared_m = _integer(tokens[2]), _integer(tokens[3])
+            if n is None or declared_m is None:
+                raise DimacsFormatError(line_no, f"non-integer problem line {line!r}")
             if n < 0 or declared_m < 0:
                 raise DimacsFormatError(line_no, "negative counts in problem line")
             if n > MAX_VERTICES:
@@ -427,10 +440,9 @@ def _dimacs_lines(text: str | bytes) -> tuple[int, int, np.ndarray]:
                 raise DimacsFormatError(line_no, "edge line before problem line")
             if len(tokens) != 3:
                 raise DimacsFormatError(line_no, f"malformed edge line {line!r}")
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise DimacsFormatError(line_no, f"non-integer edge line {line!r}") from None
+            u, v = _integer(tokens[1]), _integer(tokens[2])
+            if u is None or v is None:
+                raise DimacsFormatError(line_no, f"non-integer edge line {line!r}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DimacsFormatError(line_no, f"endpoint out of range in {line!r} (n = {n})")
             pairs.append((u - 1, v - 1))
@@ -473,44 +485,56 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
 
     First non-comment line is a header `n_rows n_cols nnz`; each later
     line is a triple `row col value` with 1-based indices.  Lines
-    starting with `%` or `#` are comments.  Malformed lines raise
-    CoordinateFormatError with the line number.
+    starting with `%` or `#` are comments.  Counts and indices are
+    ASCII digits; a value is any finite nonnegative float.  Malformed
+    lines raise CoordinateFormatError with the line number.
     """
     header = None
-    rows: list[int] = []
+    rows: list[int] = []  # 1-based until the end
     cols: list[int] = []
     vals: list[float] = []
     for line_no, line, tokens in _records(text, ("%", "#"), CoordinateFormatError):
         if header is None:
             if len(tokens) != 3:
                 raise CoordinateFormatError(line_no, f"malformed header {line!r}")
-            try:
-                header = tuple(int(t) for t in tokens)
-            except ValueError:
-                raise CoordinateFormatError(line_no, f"non-integer header {line!r}") from None
+            header = tuple(map(_integer, tokens))
+            if None in header:
+                raise CoordinateFormatError(line_no, f"non-integer header {line!r}")
             if any(x < 0 for x in header):
                 raise CoordinateFormatError(line_no, "negative header counts")
-            if max(header[:2]) > MAX_VERTICES:
+            n_rows, n_cols = header[0], header[1]
+            if max(n_rows, n_cols) > MAX_VERTICES:
                 raise CoordinateFormatError(
-                    line_no, f"{header[0]} x {header[1]} matrix exceeds the limit of {MAX_VERTICES} per side"
+                    line_no, f"{n_rows} x {n_cols} matrix exceeds the limit of {MAX_VERTICES} per side"
                 )
             continue
         if len(tokens) != 3:
             raise CoordinateFormatError(line_no, f"malformed entry {line!r}")
+        rt, ct, xt = tokens
+        if rt.isdigit() and ct.isdigit():
+            r, c = int(rt), int(ct)
+        else:
+            # a leading - is read, to be refused as out of range below
+            r, c = _integer(rt), _integer(ct)
+            if r is None or c is None:
+                raise CoordinateFormatError(line_no, f"non-numeric entry {line!r}")
         try:
-            r, c, x = int(tokens[0]), int(tokens[1]), float(tokens[2])
+            x = float(xt)
         except ValueError:
             raise CoordinateFormatError(line_no, f"non-numeric entry {line!r}") from None
-        if not (1 <= r <= header[0] and 1 <= c <= header[1]):
+        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             raise CoordinateFormatError(line_no, f"index out of range in {line!r}")
-        if x < 0:
-            raise CoordinateFormatError(line_no, f"negative value in {line!r}")
-        rows.append(r - 1)
-        cols.append(c - 1)
+        if not 0.0 <= x < math.inf:
+            what = "negative" if x < 0.0 else "non-finite"
+            raise CoordinateFormatError(line_no, f"{what} value in {line!r}")
+        rows.append(r)
+        cols.append(c)
         vals.append(x)
     if header is None:
         raise CoordinateFormatError(0, "missing header line")
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(header[0], header[1]))
+    rows_0 = np.asarray(rows, dtype=np.int64) - 1
+    cols_0 = np.asarray(cols, dtype=np.int64) - 1
+    mat = sp.coo_matrix((vals, (rows_0, cols_0)), shape=(n_rows, n_cols))
     return mat.tocsr()
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import (
     BaselineConfig,
-    _replicator_masses,
+    _replicator_update,
     extend_to_maximal,
     postprocess_greedy,
     run_baseline,
@@ -393,7 +393,7 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         if q > ms_bound:
             ms_ok = False
             break
-        u_next = _replicator_masses(u, au)
+        u_next = _replicator_update(u, au, 1.0)
         delta = u_next - u
         u = u_next
         if float(delta @ delta) < base_cfg.tol:

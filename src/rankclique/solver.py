@@ -21,7 +21,15 @@ graph's stored operator: the dense 0/1 matrix of A on graphs near half
 density, else a sparse pass over A or, on graphs with more than half of
 all pairs as edges, over the sparser non-edge adjacency.  Each iteration
 makes one pass, A p along its chord, and SolverState carries A u + t A p
-to the next iterate.
+to the next iterate, together with the penalty cap.
+
+Besides that pass a step makes eight reductions: u.u, sum(u) and
+u.(M_d u) for the objective, then u.p, p.p, sum(p), u.(A p) and p.(A p)
+for the chord's quartic.  Its vectors are updated in place, in the
+operand order of the plain formulas, so the iterates are bit for bit
+those of the formulas as written.  Inner products use ndarray.dot, the
+BLAS ddot of @ without the matmul dispatch, and boolean reductions
+np.count_nonzero, which skips ndarray.any's Python layer.
 """
 
 from __future__ import annotations
@@ -98,7 +106,9 @@ class SolverState:
     """Loop state threaded through armijo_outer_iteration.
 
     au is A u, carried from the pass that computed it; last_step carries
-    the latest line-search diagnostics.
+    the latest line-search diagnostics.  cap is the penalty cap, taken
+    once per solve; a state without one takes it from the graph and the
+    config on each iteration.
     """
 
     u: np.ndarray
@@ -107,6 +117,7 @@ class SolverState:
     alpha: float
     iteration: int = 0
     last_step: ArmijoStep | None = None
+    cap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,6 @@ class SolverResult:
     converged: bool
     iterations: int
     objective_trace: list[float]
-    stationarity_residual_final: float
     clique_valid: bool
     clique_maximal: bool
     iterates: list[IterateRecord] | None = None
@@ -164,15 +174,26 @@ def md_norm_sq(g: Graph, d: float) -> float:
     return nnz + d * d * (g.n * g.n - nnz)
 
 
-def _md_product(d: float, u: np.ndarray, au: np.ndarray) -> np.ndarray:
-    # M_d u from the adjacency product au = A u
-    return (1.0 + d) * (au + u) - d * float(u.sum())
+def _md_product(d: float, u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M_d u, sum(u)) from the adjacency product au = A u:
+    (1 + d) (au + u) - d sum(u), in one new array."""
+    su = float(u.sum())
+    mdu = np.add(au, u)
+    mdu *= 1.0 + d
+    mdu -= d * su
+    return mdu, su
 
 
-def _objective_and_gradient(d: float, u: np.ndarray, au: np.ndarray) -> tuple[float, np.ndarray]:
-    mdu = _md_product(d, u, au)
-    nrm2 = float(u @ u)
-    return 0.5 * nrm2 * nrm2 - float(u @ mdu), 2.0 * (nrm2 * u - mdu)
+def _objective_and_gradient(
+    d: float, u: np.ndarray, au: np.ndarray
+) -> tuple[float, np.ndarray, float, float]:
+    """(objective_shifted, its gradient 2 (u.u u - M_d u), u.u, sum(u))."""
+    mdu, su = _md_product(d, u, au)
+    uu = float(u.dot(u))
+    grad = np.multiply(u, uu)
+    grad -= mdu
+    grad *= 2.0
+    return 0.5 * uu * uu - float(u.dot(mdu)), grad, uu, su
 
 
 def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
@@ -183,7 +204,7 @@ def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
     (1 + d) (A u + u) - d * sum(u) * ones.
     """
     u = np.asarray(u, dtype=np.float64)
-    return _md_product(d, u, g.adj_matvec(u))
+    return _md_product(d, u, g.adj_matvec(u))[0]
 
 
 def objective_shifted(g: Graph, d: float, u: np.ndarray) -> float:
@@ -286,20 +307,25 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     stay because perfbench/tracing.py reads them.
     """
     u = np.asarray(state.u, dtype=np.float64)
+    au = state.au
     d = float(state.d)
-    alpha = float(state.alpha)
-    cap = _effective_d_max(g, cfg)
+    alpha = alpha_used = float(state.alpha)
+    cap = state.cap if state.cap is not None else _effective_d_max(g, cfg)
 
-    f_old, grad = _objective_and_gradient(d, u, state.au)
-    if not (math.isfinite(f_old) and np.isfinite(grad).all()):
+    f_old, grad, uu, su = _objective_and_gradient(d, u, au)
+    if not (math.isfinite(f_old) and np.count_nonzero(np.isfinite(grad)) == len(grad)):
         raise NumericalDivergenceError("non-finite objective or gradient", u)
 
-    cand = np.maximum(u - alpha * grad, 0.0)
+    # [u - alpha g]_+ in the gradient's array, as g (-alpha) + u
+    cand = grad
+    cand *= -alpha
+    cand += u
+    np.maximum(cand, 0.0, out=cand)
     p = cand - u
     ap = g.adj_matvec(p)
-    uu, up, pp, sp = float(u @ u), float(u @ p), float(p @ p), float(p.sum())
-    u_md_p = (1.0 + d) * (float(u @ ap) + up) - d * float(u.sum()) * sp
-    p_md_p = (1.0 + d) * (float(p @ ap) + pp) - d * sp * sp
+    up, pp, sp = float(u.dot(p)), float(p.dot(p)), float(p.sum())
+    u_md_p = (1.0 + d) * (float(u.dot(ap)) + up) - d * su * sp
+    p_md_p = (1.0 + d) * (float(p.dot(ap)) + pp) - d * sp * sp
     q = (2.0 * (uu * up - u_md_p), 2.0 * up * up + pp * uu - p_md_p, 2.0 * up * pp, 0.5 * pp * pp)
     if not all(map(math.isfinite, q)):
         raise NumericalDivergenceError("non-finite chord coefficients", cand)
@@ -308,28 +334,38 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     if t == 1.0:
         u_new, alpha = cand, alpha / math.sqrt(cfg.beta)
     else:
-        u_new = np.maximum(u + t * p, 0.0)
+        # [u + t p]_+ in p's array
+        p *= t
+        u_new = np.add(u, p, out=p)
+        np.maximum(u_new, 0.0, out=u_new)
         alpha *= max(t, cfg.beta) if pp > 0.0 else 1.0
+    # A u + t A p in A p's array
+    ap *= t
+    au_new = np.add(au, ap, out=ap)
     step = ArmijoStep(
         d=d,
-        alpha_used=float(state.alpha),
+        alpha_used=alpha_used,
         f_old=f_old,
         f_new=f_old + _quartic(t, *q),
         accepted=t > 0.0,
     )
     return SolverState(
         u=u_new,
-        au=state.au + t * ap,
+        au=au_new,
         d=min(cfg.gamma * d, cap),
         alpha=alpha,
         iteration=state.iteration + 1,
         last_step=step,
+        cap=cap,
     )
 
 
 def _is_binary(u: np.ndarray, cfg: SolverConfig) -> bool:
     lo = cfg.binary_tol_low
     hi_lo, hi_hi = cfg.binary_tol_high
+    # a coordinate strictly between the bands settles most iterates
+    if np.count_nonzero((u > lo) & (u < hi_lo)):
+        return False
     high = (u >= hi_lo) & (u <= hi_hi)
     # the all-zero iterate also has every coordinate in a band, but its
     # rounding is the empty set; insist on at least one coordinate near 1
@@ -355,8 +391,10 @@ def solve(
     iterate at a symmetric saddle next to a non-maximal clique can sit
     inside the band (see README, Design notes).
     Non-converged runs report the rounding as-is together with its
-    validity flags.  The final stationarity residual is evaluated at the
-    penalty cap, or reported as inf for an identically zero final iterate.
+    validity flags.  The final iterate's stationarity residual is not
+    taken here, which saves a pass: for a nonzero final iterate,
+    stationarity_residual(g, d_max(g), result.u_final) gives it at the
+    default penalty cap.
 
     Raises EdgelessGraphError when the graph has no edges: every
     maximal clique is a singleton and the penalized problem is trivial.
@@ -372,11 +410,11 @@ def solve(
     d0 = min(float(d0), cap)
 
     au0 = g.adj_matvec(u0)
-    _, grad0 = _objective_and_gradient(d0, u0, au0)
+    grad0 = _objective_and_gradient(d0, u0, au0)[1]
     grad_norm = float(np.linalg.norm(grad0))
     alpha0 = 0.1 * float(np.linalg.norm(u0)) / grad_norm if grad_norm > 0 else 1.0
 
-    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0)
+    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0, cap=cap)
     trace: list[float] = []
     iterates: list[IterateRecord] | None = [] if record_iterates else None
     converged = False
@@ -398,16 +436,12 @@ def solve(
         raise RoundingInvariantError(
             f"converged iterate rounds to {clique.vertices}, which is not a maximal clique"
         )
-    residual = (
-        stationarity_residual(g, cap, u_final) if float(u_final @ u_final) > 0 else math.inf
-    )
     return SolverResult(
         u_final=u_final,
         clique=clique,
         converged=converged,
         iterations=state.iteration,
         objective_trace=trace,
-        stationarity_residual_final=residual,
         clique_valid=valid,
         clique_maximal=maximal,
         iterates=iterates,

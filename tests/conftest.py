@@ -48,3 +48,14 @@ def small_random_graphs(count: int, *, seed0: int = 0, n_lo: int = 4, n_hi: int 
         if g.edge_count > 0:
             out.append(g)
     return out
+
+
+def stored_form_graphs() -> dict[str, Graph]:
+    """One 120-vertex graph per stored form of Graph.adj_matvec's
+    operator: the CSR of A, the CSR of the non-edges, and the dense
+    matrix."""
+    return {
+        "csr_of_a": random_graph(120, 0.15, 7),
+        "csr_of_complement": random_graph(120, 0.85, 7),
+        "dense": random_graph(120, 0.5, 7),
+    }

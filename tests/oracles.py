@@ -2,11 +2,15 @@
 
 Everything here goes through dense numpy matrices or exhaustive
 enumeration, on purpose: these are the second route that the library's
-sparse/implicit implementations are checked against.
+sparse/implicit implementations are checked against.  The exceptions
+are the plain-formula solver step and baseline updates at the end,
+which pin the library's in-place versions bit for bit and so share its
+adjacency pass and line search.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -113,3 +117,56 @@ def chord_quartic_dense(md: np.ndarray, u: np.ndarray, p: np.ndarray) -> tuple[f
         2.0 * up * pp,
         0.5 * pp * pp,
     )
+
+
+def plain_chord_step(g, cfg, u, au, d, alpha):
+    """One solver iteration as plain array formulas, each building a new
+    array: (u, A u, d, alpha, f_new) after the step.  It makes the same
+    pass (g.adj_matvec) and line search (solver._chord_minimizer) as the
+    library's step, so the two must agree bit for bit."""
+    from rankclique.solver import _chord_minimizer, _quartic, d_max
+
+    cap = cfg.d_max_override if cfg.d_max_override is not None else d_max(g)
+    mdu = (1.0 + d) * (au + u) - d * float(u.sum())
+    nrm2 = float(u @ u)
+    f_old = 0.5 * nrm2 * nrm2 - float(u @ mdu)
+    grad = 2.0 * (nrm2 * u - mdu)
+    cand = np.maximum(u - alpha * grad, 0.0)
+    p = cand - u
+    ap = g.adj_matvec(p)
+    uu, up, pp, sp = float(u @ u), float(u @ p), float(p @ p), float(p.sum())
+    u_md_p = (1.0 + d) * (float(u @ ap) + up) - d * float(u.sum()) * sp
+    p_md_p = (1.0 + d) * (float(p @ ap) + pp) - d * sp * sp
+    q = (2.0 * (uu * up - u_md_p), 2.0 * up * up + pp * uu - p_md_p, 2.0 * up * pp, 0.5 * pp * pp)
+    t = _chord_minimizer(*q)
+    if t == 1.0:
+        u_new, alpha_new = cand, alpha / math.sqrt(cfg.beta)
+    else:
+        u_new = np.maximum(u + t * p, 0.0)
+        alpha_new = alpha * (max(t, cfg.beta) if pp > 0.0 else 1.0)
+    return u_new, au + t * ap, min(cfg.gamma * d, cap), alpha_new, f_old + _quartic(t, *q)
+
+
+def plain_replicator_step(g, u, eta: float = 1.0):
+    """The replicator update u_i (A u)_i / (u^T A u), renormalized, then
+    raised to 1/eta unless eta = 1, as plain array formulas."""
+    au = g.adj_matvec(u)
+    m = u * au / float(u @ au)
+    m = m / m.sum()
+    return m if eta == 1.0 else m ** (1.0 / eta)
+
+
+def plain_baseline_loop(g, kind: str, cfg):
+    """run_baseline's loop over plain_replicator_step:
+    (weights, iterations, converged)."""
+    if kind == "pelillo":
+        u, eta = np.full(g.n, 1.0 / g.n), 1.0
+    else:
+        u, eta = np.full(g.n, g.n ** (-1.0 / cfg.eta)), cfg.eta
+    for it in range(1, cfg.max_iterations + 1):
+        u_next = plain_replicator_step(g, u, eta)
+        delta = u_next - u
+        u = u_next
+        if float(delta @ delta) < cfg.tol:
+            return u, it, True
+    return u, cfg.max_iterations, False

@@ -19,7 +19,8 @@ from rankclique import (
     postprocess_greedy,
     run_baseline,
 )
-from conftest import small_random_graphs
+from conftest import small_random_graphs, stored_form_graphs
+from oracles import plain_baseline_loop, plain_replicator_step
 
 
 @pytest.fixture
@@ -150,6 +151,32 @@ class TestRunBaseline:
                 q = float(v @ g.adj_matvec(v))
                 assert q >= prev - 1e-12
                 prev = q
+
+
+class TestInPlaceUpdates:
+    """The baselines update in place; each result must equal the plain
+    formulas' bit for bit, on every stored form of the operator."""
+
+    @pytest.mark.parametrize("form", sorted(stored_form_graphs()))
+    def test_steps_equal_the_plain_updates(self, form):
+        g = stored_form_graphs()[form]
+        u = np.random.default_rng(3).random(g.n)
+        u /= u.sum()
+        before = u.tobytes()
+        assert pelillo_step(g, u).tobytes() == plain_replicator_step(g, u).tobytes()
+        for eta in (1.0, 1.05, 1.5, 2.0):
+            assert ding_step(g, u, eta).tobytes() == plain_replicator_step(g, u, eta).tobytes()
+        assert u.tobytes() == before
+
+    @pytest.mark.parametrize("kind", ["pelillo", "ding"])
+    @pytest.mark.parametrize("form", sorted(stored_form_graphs()))
+    def test_run_baseline_equals_the_plain_loop(self, form, kind):
+        g = stored_form_graphs()[form]
+        for cfg in (BaselineConfig(), BaselineConfig(eta=2.0, max_iterations=7)):
+            u, iterations, converged = run_baseline(g, kind, cfg)
+            u_ref, iterations_ref, converged_ref = plain_baseline_loop(g, kind, cfg)
+            assert u.tobytes() == u_ref.tobytes()
+            assert (iterations, converged) == (iterations_ref, converged_ref)
 
 
 class TestGreedyPostprocess:

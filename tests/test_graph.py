@@ -244,6 +244,30 @@ class TestDimacs:
             parse_dimacs("p edge 2 1\ne 1 x\n")
 
     @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("p edge 10 1\ne 1_0 +2\n", 2, "non-integer edge line"),
+            ("p edge 10 1\ne 1 +2\n", 2, "non-integer edge line"),
+            ("c x\np edge 1_0 1\ne 1 2\n", 2, "non-integer problem line"),
+            ("p edge +10 1\ne 1 2\n", 1, "non-integer problem line"),
+            ("p edge 10 -1\n", 1, "negative counts"),
+            ("p edge 10 1\ne -1 2\n", 2, "out of range"),
+        ],
+    )
+    def test_integer_fields_are_ascii_digits(self, text, line_no, message):
+        with pytest.raises(DimacsFormatError, match=message) as exc:
+            parse_dimacs(text)
+        assert exc.value.line_no == line_no
+
+    def test_signed_label_in_a_standard_file_names_its_line(self):
+        lines = serialize_dimacs(random_graph(30, 0.5, seed=2)).splitlines(keepends=True)
+        k = len(lines) // 2
+        lines[k - 1] = "e 1_0 +2\n"
+        with pytest.raises(DimacsFormatError, match="non-integer edge line") as exc:
+            parse_dimacs("".join(lines))
+        assert exc.value.line_no == k
+
+    @pytest.mark.parametrize(
         "text, line_no",
         [
             (b"p edge 2 1\ne 1 \xff\n", 2),  # a byte outside ASCII
@@ -472,6 +496,36 @@ class TestCoordinateMatrix:
     def test_negative_value(self):
         with pytest.raises(CoordinateFormatError, match="negative value"):
             parse_coordinate_matrix("2 2 1\n1 1 -2.0\n")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("nan", "non-finite value"), ("inf", "non-finite value"), ("-nan", "non-finite value"),
+         ("-inf", "negative value"), ("1e999", "non-finite value")],
+    )
+    def test_non_finite_value_names_its_line(self, value, message):
+        with pytest.raises(CoordinateFormatError, match=message) as exc:
+            parse_coordinate_matrix(f"2 2 2\n2 2 1\n1 1 {value}\n")
+        assert exc.value.line_no == 3
+
+    def test_values_stay_floats(self):
+        x = parse_coordinate_matrix("2 2 2\n1 1 1e+05\n2 1 0.5\n")
+        assert x.toarray().tolist() == [[1e5, 0.0], [0.5, 0.0]]
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("2 2 1\n1_0 1 1\n", 2, "non-numeric entry"),
+            ("2 2 1\n1 +1 1\n", 2, "non-numeric entry"),
+            ("2 2 1\n-1 1 1\n", 2, "out of range"),
+            ("% c\n+2 2 1\n1 1 1\n", 2, "non-integer header"),
+            ("2 2 1_0\n1 1 1\n", 1, "non-integer header"),
+            ("2 -2 1\n1 1 1\n", 1, "negative header counts"),
+        ],
+    )
+    def test_counts_and_indices_are_ascii_digits(self, text, line_no, message):
+        with pytest.raises(CoordinateFormatError, match=message) as exc:
+            parse_coordinate_matrix(text)
+        assert exc.value.line_no == line_no
 
     @pytest.mark.parametrize(
         "text",
