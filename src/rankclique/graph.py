@@ -187,12 +187,9 @@ _GEMV_ENTRIES = 1 << 18
 def _dense_pass(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """a @ u by one dgemv per block of rows, each below the size at which
     BLAS starts threads, so the result does not depend on the thread
-    count (at n <= 512 the block is the whole matrix, and one plain
-    product)."""
-    rows = max(1, _GEMV_ENTRIES // len(a))
-    if rows >= len(a):
-        return a @ u
+    count (at n <= 512 the block is the whole matrix)."""
     out = np.empty(len(a))
+    rows = max(1, _GEMV_ENTRIES // len(a))
     for lo in range(0, len(a), rows):
         np.matmul(a[lo:lo + rows], u, out=out[lo:lo + rows])
     return out

@@ -21,7 +21,7 @@ graph's stored operator: the dense 0/1 matrix of A on graphs near half
 density, else a sparse pass over A or, on graphs with more than half of
 all pairs as edges, over the sparser non-edge adjacency.  Each iteration
 makes one pass, A p along its chord, and SolverState carries A u + t A p
-to the next iterate, together with the penalty cap.
+to the next iterate.
 
 Besides that pass a step makes eight reductions: u.u, sum(u) and
 u.(M_d u) for the objective, then u.p, p.p, sum(p), u.(A p) and p.(A p)
@@ -106,9 +106,7 @@ class SolverState:
     """Loop state threaded through armijo_outer_iteration.
 
     au is A u, carried from the pass that computed it; last_step carries
-    the latest line-search diagnostics.  cap is the penalty cap, taken
-    once per solve; a state without one takes it from the graph and the
-    config on each iteration.
+    the latest line-search diagnostics.
     """
 
     u: np.ndarray
@@ -117,7 +115,6 @@ class SolverState:
     alpha: float
     iteration: int = 0
     last_step: ArmijoStep | None = None
-    cap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -310,7 +307,7 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     au = state.au
     d = float(state.d)
     alpha = alpha_used = float(state.alpha)
-    cap = state.cap if state.cap is not None else _effective_d_max(g, cfg)
+    cap = _effective_d_max(g, cfg)
 
     f_old, grad, uu, su = _objective_and_gradient(d, u, au)
     if not (math.isfinite(f_old) and np.count_nonzero(np.isfinite(grad)) == len(grad)):
@@ -356,7 +353,6 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
         alpha=alpha,
         iteration=state.iteration + 1,
         last_step=step,
-        cap=cap,
     )
 
 
@@ -414,7 +410,7 @@ def solve(
     grad_norm = float(np.linalg.norm(grad0))
     alpha0 = 0.1 * float(np.linalg.norm(u0)) / grad_norm if grad_norm > 0 else 1.0
 
-    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0, cap=cap)
+    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0)
     trace: list[float] = []
     iterates: list[IterateRecord] | None = [] if record_iterates else None
     converged = False

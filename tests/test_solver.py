@@ -248,17 +248,16 @@ class TestLeanStep:
         }
         assert forms == {"csr_of_a": (False, False), "csr_of_complement": (False, True), "dense": (True, False)}
 
-    @pytest.mark.parametrize("carry_cap", [True, False], ids=["cap_carried", "no_cap"])
     @pytest.mark.parametrize("d_max_override", [None, 5.0], ids=["default_cap", "cap_5"])
     @pytest.mark.parametrize("form", sorted(stored_form_graphs()))
-    def test_fifty_iterations_equal_the_plain_step(self, form, d_max_override, carry_cap):
+    def test_fifty_iterations_equal_the_plain_step(self, form, d_max_override):
         g = stored_form_graphs()[form]
         cfg = SolverConfig(d_max_override=d_max_override)
         cap = d_max_override if d_max_override is not None else d_max(g)
         u = np.random.default_rng(5).random(g.n)
         d = min(default_d0(g), cap)
         alpha = 0.1 * float(np.linalg.norm(u)) / float(np.linalg.norm(gradient(g, d, u)))
-        state = SolverState(u=u, au=g.adj_matvec(u), d=d, alpha=alpha, cap=cap if carry_cap else None)
+        state = SolverState(u=u, au=g.adj_matvec(u), d=d, alpha=alpha)
         ref = (state.u, state.au, d, alpha)
         for it in range(50):
             inputs = state.u, state.au
@@ -269,7 +268,6 @@ class TestLeanStep:
             assert _bits(state.u) == _bits(u_ref), it
             assert _bits(state.au) == _bits(au_ref), it
             assert _bits([state.d, state.alpha, state.last_step.f_new]) == _bits([d_ref, alpha_ref, f_ref]), it
-            assert state.cap == cap
             ref = (u_ref, au_ref, d_ref, alpha_ref)
         if d_max_override is not None:
             assert state.d == 5.0  # the cap was reached
