@@ -10,12 +10,16 @@ outside a comment line included.  Files are read as bytes, so a comment
 line in a file may hold any bytes.  DIMACS files use 1-based vertex
 labels on disk.
 
-DIMACS text in the layout serialize_dimacs writes (comment lines, one
-`p edge n m` line, then `e u v` lines with single spaces and LF or CRLF
-endings) is read in one vectorised pass over its bytes; every other
-layout, and every malformed file, goes through the line-by-line reader.
-Both readers refuse a header asking for more than MAX_VERTICES vertices
-before any graph array is allocated.
+Each format has a standard layout that is read in one vectorised pass
+over its bytes: comment lines, one header line, then only lines of
+ASCII-digit fields with single spaces and LF or CRLF endings, `e u v`
+for DIMACS as serialize_dimacs writes it and `row col count` for a
+coordinate matrix as a count writer produces it.  Both passes go through
+one scanner (_standard_fields).  Every other layout, and every
+malformed file, goes through the line-by-line reader, which gives the
+same result or names the first bad line.  Both readers refuse a header
+asking for more than MAX_VERTICES vertices (or rows or columns) before
+any graph array is allocated.
 
 Graph.adj_matvec, the one adjacency product the solver, the baselines
 and the clique checks use, makes one pass over one of three stored
@@ -324,9 +328,12 @@ _LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
 # What str.strip removes from ASCII text.  Stripping only these leaves a
 # line's non-ASCII whitespace (U+00A0, U+3000) in place to be refused.
 _ASCII_SPACE = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
-# Comment lines starting at column 0 (holding no _LINE_BREAK), then the
-# problem line with single spaces.
-_DIMACS_HEADER = re.compile(rb"(?:c[^\n\r\x0b\x0c\x1c-\x1e]*\n)*p edge ([0-9]+) ([0-9]+)\n")
+# The headers of the standard layouts: comment lines starting at column 0
+# (holding no _LINE_BREAK), then the DIMACS problem line or the
+# coordinate size line, with single spaces.
+_COMMENT_REST = rb"[^\n\r\x0b\x0c\x1c-\x1e]*\n"
+_DIMACS_HEADER = re.compile(rb"(?:c%s)*p edge ([0-9]+) ([0-9]+)\n" % _COMMENT_REST)
+_COORDINATE_HEADER = re.compile(rb"(?:[%%#]%s)*([0-9]+) ([0-9]+) ([0-9]+)\n" % _COMMENT_REST)
 # A label of at most 18 decimal digits cannot overflow int64.
 _MAX_DIGITS = 18
 
@@ -367,6 +374,62 @@ def _integer(token: str) -> int | None:
     return None
 
 
+def _standard_fields(
+    data: bytes, header: re.Pattern[bytes], lead: bytes, fields: int
+) -> tuple[re.Match[bytes], np.ndarray] | None:
+    """(header match, the body's fields as an int64 array of one row per
+    line) if data is in a standard layout, else None.
+
+    A standard layout is text matching `header`, then only lines made of
+    `lead` and `fields` fields of 1 to _MAX_DIGITS ASCII digits joined by
+    single spaces, each ending in LF or CRLF.  Ranges are the caller's to
+    check.
+    """
+    if b"\r" in data:
+        # the line reader splits at CRLF as at LF; a lone CR is left in
+        # place, to fail the checks below
+        data = data.replace(b"\r\n", b"\n")
+    head = header.match(data)
+    if head is None:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=head.end())
+    if body.size == 0:
+        return head, np.zeros((0, fields), dtype=np.int64)
+    ends = np.flatnonzero(body == ord("\n"))
+    if ends.size == 0 or ends[-1] != body.size - 1:
+        return None
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    lead_spaces = lead.count(b" ")
+    spaces = np.flatnonzero(body == ord(" "))
+    if spaces.size != (lead_spaces + fields - 1) * ends.size:
+        return None
+    # each field lies between the previous separator (the lead's last
+    # byte, or the LF before the line) and the next (a space, or the
+    # LF); fromstring would shift the fields past an empty one and
+    # saturates an overflowing one without a warning
+    prev = starts + (len(lead) - 1)
+    for sep in (*spaces.reshape(ends.size, -1)[:, lead_spaces:].T, ends):
+        width = sep - prev  # one more than the field's width
+        if width.min() < 2 or width.max() > _MAX_DIGITS + 1:
+            return None
+        prev = sep
+    # so every line is longer than its lead and holds fields - 1 spaces
+    # after it; with the lead's own, the count above leaves it no other
+    # space, and the digit count below no other byte
+    for offset, byte in enumerate(lead):
+        if not np.all(body[offset:][starts] == byte):
+            return None
+    # uint8 arithmetic wraps the bytes below "0" past 9
+    if np.count_nonzero(body - ord("0") < 10) != body.size - (len(lead) + fields) * ends.size:
+        return None
+    text = data[head.end():]
+    if lead:
+        # the lead's bytes occur nowhere else; blanked, fromstring reads
+        # them as part of the separator
+        text = text.translate(bytes.maketrans(lead, b" " * len(lead)))
+    return head, np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, fields)
+
+
 def _standard_dimacs(data: bytes) -> tuple[int, int, np.ndarray] | None:
     """(n, declared m, 0-based pairs) if data is in the standard layout, else None.
 
@@ -375,42 +438,17 @@ def _standard_dimacs(data: bytes) -> tuple[int, int, np.ndarray] | None:
     ending in LF or CRLF, every endpoint in 1..n.  For such data the
     answer is what _dimacs_lines returns.
     """
-    if b"\r" in data:
-        # the line reader splits at CRLF as at LF; a lone CR is left in
-        # place, to fail the checks below
-        data = data.replace(b"\r\n", b"\n")
-    header = _DIMACS_HEADER.match(data)
-    if header is None:
+    scanned = _standard_fields(data, _DIMACS_HEADER, b"e ", 2)
+    if scanned is None:
         return None
+    header, labels = scanned
     n, declared_m = int(header[1]), int(header[2])
-    if n > MAX_VERTICES:
+    if n > MAX_VERTICES or (labels.size and (labels.min() < 1 or labels.max() > n)):
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=header.end())
-    if body.size == 0:
-        return n, declared_m, np.zeros((0, 2), dtype=np.int64)
-    ends = np.flatnonzero(body == ord("\n"))
-    if ends.size == 0 or ends[-1] != body.size - 1:
-        return None
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    spaces = np.flatnonzero(body == ord(" "))
-    if spaces.size != 2 * ends.size:
-        return None
-    first, second = spaces[0::2], spaces[1::2]
-    # each line is `e`, a space, digits, a space, digits, LF: the two
-    # spaces fall inside the line and every other byte is a digit
-    if not (np.array_equal(first, starts + 1) and np.all(body[starts] == ord("e"))):
-        return None
-    if np.count_nonzero((body >= ord("0")) & (body <= ord("9"))) != body.size - 4 * ends.size:
-        return None
-    # fromstring would shift the pairs past an empty field and saturates
-    # an overflowing one without a warning
-    for width in (second - first - 1, ends - second - 1):
-        if width.min() < 1 or width.max() > _MAX_DIGITS:
-            return None
-    labels = np.fromstring(data[header.end():].replace(b"e", b" "), dtype=np.int64, sep=" ")
-    if labels.min() < 1 or labels.max() > n:
-        return None
-    return n, declared_m, labels.reshape(-1, 2) - 1
+    # in place: on hamming10_2 a copy here left the graph build about
+    # 7 MB of fresh pages to fault in
+    labels -= 1
+    return n, declared_m, labels
 
 
 def _dimacs_lines(text: str | bytes) -> tuple[int, int, np.ndarray]:
@@ -483,9 +521,54 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
     First non-comment line is a header `n_rows n_cols nnz`; each later
     line is a triple `row col value` with 1-based indices.  Lines
     starting with `%` or `#` are comments.  Counts and indices are
-    ASCII digits; a value is any finite nonnegative float.  Malformed
+    ASCII digits; a value is any finite nonnegative float written
+    without `_`.  Repeated (row, col) entries are summed.  Malformed
     lines raise CoordinateFormatError with the line number.
+
+    Bytes are read as ASCII, so a comment line may hold any bytes.  Text
+    in the standard layout (see _standard_coordinates), LF or CRLF ends
+    alike, is read in one vectorised pass over its bytes; any other
+    text, including every malformed one, goes through the line-by-line
+    reader, which gives the same matrix or names the offending line.
     """
+    # as in parse_dimacs, a str has the same lines and ASCII fields as
+    # its encoding
+    data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else text
+    parsed = _standard_coordinates(data)
+    if parsed is None:
+        parsed = _coordinate_lines(text)
+    shape, rows, cols, vals = parsed
+    # tocsr sums repeated entries
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _standard_coordinates(data: bytes) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray] | None:
+    """(shape, 0-based rows, 0-based cols, values) if data is in the
+    standard layout, else None.
+
+    The standard layout is the one a count writer produces: the header
+    above, then only `<digits> <digits> <digits>` lines, single spaces,
+    each ending in LF or CRLF, every row in 1..n_rows and every column
+    in 1..n_cols.  For such data the answer is what _coordinate_lines
+    returns.
+    """
+    scanned = _standard_fields(data, _COORDINATE_HEADER, b"", 3)
+    if scanned is None:
+        return None
+    header, entries = scanned
+    n_rows, n_cols = int(header[1]), int(header[2])
+    if max(n_rows, n_cols) > MAX_VERTICES:
+        return None
+    rows, cols, vals = entries.T
+    if entries.size and not (1 <= rows.min() and rows.max() <= n_rows and 1 <= cols.min() and cols.max() <= n_cols):
+        return None
+    return (n_rows, n_cols), rows - 1, cols - 1, vals.astype(np.float64)
+
+
+def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """(shape, 0-based rows, 0-based cols, values) read line by line, for
+    any layout the format allows; raises CoordinateFormatError naming
+    the first bad line."""
     header = None
     rows: list[int] = []  # 1-based until the end
     cols: list[int] = []
@@ -516,6 +599,9 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
             if r is None or c is None:
                 raise CoordinateFormatError(line_no, f"non-numeric entry {line!r}")
         try:
+            # float also reads `1_0`, as 10, a form no writer produces
+            if "_" in xt:
+                raise ValueError(xt)
             x = float(xt)
         except ValueError:
             raise CoordinateFormatError(line_no, f"non-numeric entry {line!r}") from None
@@ -531,8 +617,7 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
         raise CoordinateFormatError(0, "missing header line")
     rows_0 = np.asarray(rows, dtype=np.int64) - 1
     cols_0 = np.asarray(cols, dtype=np.int64) - 1
-    mat = sp.coo_matrix((vals, (rows_0, cols_0)), shape=(n_rows, n_cols))
-    return mat.tocsr()
+    return (n_rows, n_cols), rows_0, cols_0, np.asarray(vals, dtype=np.float64)
 
 
 def _shared_term_counts(doc_term_text: str | bytes) -> sp.coo_matrix:

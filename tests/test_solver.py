@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +290,23 @@ class TestLeanStep:
             assert _bits(rec.u) == _bits(state[0])
             assert _bits(rec.step.f_new) == _bits(f_new)
         assert _bits(res.u_final) == _bits(state[0])
+
+    def test_iteration_cost_times_the_step_and_the_baselines(self):
+        # tools/iteration_cost.py, whose table is the per-iteration
+        # baseline of the step, wraps armijo_outer_iteration by name; one
+        # small graph in a fresh process (the tool sets BLAS to one thread)
+        tool = Path(__file__).resolve().parent.parent / "tools" / "iteration_cost.py"
+        script = (
+            "import json, runpy\n"
+            f"tool = runpy.run_path({str(tool)!r})\n"
+            "g = tool['random_graph'](60, 0.3, 1)\n"
+            "print(json.dumps({**tool['solver_cost'](g), **tool['baseline_cost'](g)}))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+        row = json.loads(out)
+        assert row["solver_iterations"] > 0
+        assert row["solver_us_per_iteration"] > 0 and row["baseline_us_per_iteration"] > 0
+        assert 0 < row["solver_adj_matvec_share"] < 1 and 0 < row["baseline_adj_matvec_share"] < 1
 
 
 def _quartic_at(q, t: float) -> float:
