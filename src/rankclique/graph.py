@@ -2,8 +2,13 @@
 
 Graphs are simple and undirected: no self-loops, no duplicate edges,
 0-based vertex indices internally.  Constructors accept dirty edge input
-(duplicates, swapped endpoints, self-loops) and canonicalize it with one
-sort of the keys src*n + dst over both orientations.  The DIMACS reader
+(duplicates, swapped endpoints, self-loops) and canonicalize it through
+the flat keys src*n + dst of both orientations: marked in one n x n
+bitmap when that takes no more bytes than a sort's two key arrays (n² at
+most 8 bytes per pair), else sorted once.  One helper (_structure) turns
+the ascending keys into the CSR arrays, for these graphs, for random
+graphs (whose draws are written straight into a bitmap's upper
+triangle) and for the non-edges that adj_matvec may store.  The DIMACS reader
 and the coordinate-matrix reader share one line tokenizer (_records),
 which reports malformed lines by line number, a non-ASCII character
 outside a comment line included.  Files are read as bytes, so a comment
@@ -221,20 +226,32 @@ def _dense_adjacency(g: Graph) -> np.ndarray:
 def _complement_structure(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """indptr and indices of Ā, the non-edges of g without the diagonal.
 
-    Marks the non-edges in an n x n bool mask through the flat keys of
-    g's entries.  Taken only when Ā has fewer entries than A, so neither
-    the key array nor Ā's own is longer than g.indices.
+    Marks the non-edges in an n x n bitmap through the flat keys of g's
+    entries.  Taken only when Ā has fewer entries than A, so neither the
+    key array nor Ā's own is longer than g.indices.
     """
     n = g.n
     mask = np.ones((n, n), dtype=bool)
     np.fill_diagonal(mask, False)
-    flat = mask.reshape(-1)
-    flat[_flat_keys(g)] = False
-    keys = np.flatnonzero(flat)
-    del mask, flat
+    mask.reshape(-1)[_flat_keys(g)] = False
+    return _structure(n, np.flatnonzero(mask))
+
+
+def _structure(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices, read-only int64, of the n x n 0/1 matrix whose
+    ones sit at the ascending distinct flat positions keys = v*n + w, as
+    np.flatnonzero reads them off a bitmap.  keys becomes the indices."""
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     np.remainder(keys, n, out=keys)
+    indptr.setflags(write=False)
+    keys.setflags(write=False)
     return indptr, keys
+
+
+def _graph_of_keys(n: int, keys: np.ndarray) -> Graph:
+    """The graph whose symmetric adjacency has its ones at keys (see _structure)."""
+    indptr, indices = _structure(n, keys)
+    return Graph(n=n, indptr=indptr, indices=indices, edge_count=len(indices) // 2)
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -248,24 +265,52 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+# _graph_from_pairs marks the pairs in an n x n bitmap when n² is at most
+# this many times their count, and sorts their keys otherwise.  At 8 the
+# bitmap's n² bytes stay below the 16 bytes per pair of the sort's two
+# key arrays.  In the build table of tools/operator_crossover.py (random
+# dirty pairs, n = 400 to 4000) the sort takes 1.56-1.76x as long there;
+# at n²/pairs = 16 it still takes 1.06-1.29x as long, but the bitmap
+# then needs as many bytes as the keys.
+_BITMAP_PAIRS = 8
+
+
 def _graph_from_pairs(n: int, pairs: np.ndarray) -> Graph:
     # pairs: (m, 2) int array, already validated in-range; dedups, drops
-    # self-loops, normalizes orientation.  One sort of the key src*n + dst
-    # over both orientations orders the neighbour lists and exposes the
-    # repeats; each undirected edge leaves exactly two distinct keys.
+    # self-loops, normalizes orientation
     a, b = pairs[:, 0], pairs[:, 1]
+    build = _marked_keys if n * n <= _BITMAP_PAIRS * len(pairs) else _sorted_keys
+    return _graph_of_keys(n, build(n, a, b))
+
+
+def _marked_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct flat keys v*n + w of both orientations of the pairs
+    (a, b), self-loops dropped, ascending: marked in an n x n bitmap and
+    read back by np.flatnonzero."""
+    mask = np.zeros((n, n), dtype=bool)
+    flat = mask.reshape(-1)
+    key = np.multiply(a, n, dtype=np.int64)
+    key += b
+    flat[key] = True
+    np.multiply(b, n, out=key)
+    key += a
+    flat[key] = True
+    del key
+    np.fill_diagonal(mask, False)
+    return np.flatnonzero(mask)
+
+
+def _sorted_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_marked_keys by one sort of the keys: it orders the neighbour lists
+    and exposes the repeats; each undirected edge leaves exactly two
+    distinct keys."""
     loop = a == b
     if loop.any():
         a, b = a[~loop], b[~loop]
     key = np.concatenate([a, b]).astype(np.int64, copy=False)
     key *= n
     key += np.concatenate([b, a])
-    key = _sorted_distinct(key)
-    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    indices = key % n if n else key
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
-    return Graph(n=n, indptr=indptr, indices=indices, edge_count=len(key) // 2)
+    return _sorted_distinct(key)
 
 
 def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -331,11 +376,15 @@ _ASCII_SPACE = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
 # The headers of the standard layouts: comment lines starting at column 0
 # (holding no _LINE_BREAK), then the DIMACS problem line or the
 # coordinate size line, with single spaces.
-_COMMENT_REST = rb"[^\n\r\x0b\x0c\x1c-\x1e]*\n"
-_DIMACS_HEADER = re.compile(rb"(?:c%s)*p edge ([0-9]+) ([0-9]+)\n" % _COMMENT_REST)
-_COORDINATE_HEADER = re.compile(rb"(?:[%%#]%s)*([0-9]+) ([0-9]+) ([0-9]+)\n" % _COMMENT_REST)
-# A label of at most 18 decimal digits cannot overflow int64.
+# A field of at most 18 decimal digits cannot overflow int64.  A longer
+# one (leading zeros aside) is at least _TOO_LARGE: out of range as a
+# label or index, too large as a count.
 _MAX_DIGITS = 18
+_TOO_LARGE = 10**_MAX_DIGITS
+_COMMENT_REST = rb"[^\n\r\x0b\x0c\x1c-\x1e]*\n"
+_COUNT = rb"([0-9]{1,%d})" % _MAX_DIGITS
+_DIMACS_HEADER = re.compile(rb"(?:c%s)*p edge %s %s\n" % (_COMMENT_REST, _COUNT, _COUNT))
+_COORDINATE_HEADER = re.compile(rb"(?:[%%#]%s)*%s %s %s\n" % (_COMMENT_REST, _COUNT, _COUNT, _COUNT))
 
 
 def _records(
@@ -366,11 +415,15 @@ def _records(
 
 def _integer(token: str) -> int | None:
     """The value of a field of ASCII digits with an optional leading `-`,
-    else None.  Python's int also reads forms that no writer produces,
-    such as `+2` and `1_0`.  Fields come from _records, so they are ASCII,
-    where str.isdigit means the digits 0-9."""
+    else None; ±_TOO_LARGE for a field longer than Python's int reads
+    (4300 digits).  Python's int also reads forms that no writer
+    produces, such as `+2` and `1_0`.  Fields come from _records, so they
+    are ASCII, where str.isdigit means the digits 0-9."""
     if token.isdigit() or (token[:1] == "-" and token[1:].isdigit()):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:
+            return -_TOO_LARGE if token[0] == "-" else _TOO_LARGE
     return None
 
 
@@ -468,6 +521,8 @@ def _dimacs_lines(text: str | bytes) -> tuple[int, int, np.ndarray]:
                 raise DimacsFormatError(line_no, f"non-integer problem line {line!r}")
             if n < 0 or declared_m < 0:
                 raise DimacsFormatError(line_no, "negative counts in problem line")
+            if max(n, declared_m) >= _TOO_LARGE:
+                raise DimacsFormatError(line_no, "count too large in problem line")
             if n > MAX_VERTICES:
                 raise DimacsFormatError(line_no, f"{n} vertices exceed the limit of {MAX_VERTICES}")
         elif tokens[0] == "e":
@@ -503,16 +558,25 @@ def serialize_dimacs(g: Graph) -> str:
 def random_graph(n: int, density: float, seed: int) -> Graph:
     """Bernoulli random graph: each of the n(n-1)/2 pairs is an edge
     independently with probability `density`.  Same (n, density, seed)
-    always yields the same graph."""
+    always yields the same graph.
+
+    Pair (v, w), v < w, takes the draw at its place in the row-major
+    order of the upper triangle.  Memory: the 8-byte draws, then an n²
+    byte bitmap, then the graph's own arrays.
+    """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < density
-    pairs = np.column_stack([iu[mask], ju[mask]]).astype(np.int64)
-    return _graph_from_pairs(n, pairs)
+    upper = rng.random(n * (n - 1) // 2) < density
+    mask = np.zeros((n, n), dtype=bool)
+    # a boolean-mask assignment fills the strict upper triangle in
+    # row-major order
+    mask[~np.tri(n, dtype=bool)] = upper
+    del upper
+    mask |= mask.T
+    return _graph_of_keys(n, np.flatnonzero(mask))
 
 
 def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
@@ -582,6 +646,8 @@ def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, n
                 raise CoordinateFormatError(line_no, f"non-integer header {line!r}")
             if any(x < 0 for x in header):
                 raise CoordinateFormatError(line_no, "negative header counts")
+            if max(header) >= _TOO_LARGE:
+                raise CoordinateFormatError(line_no, "header count too large")
             n_rows, n_cols = header[0], header[1]
             if max(n_rows, n_cols) > MAX_VERTICES:
                 raise CoordinateFormatError(
@@ -592,7 +658,10 @@ def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, n
             raise CoordinateFormatError(line_no, f"malformed entry {line!r}")
         rt, ct, xt = tokens
         if rt.isdigit() and ct.isdigit():
-            r, c = int(rt), int(ct)
+            try:
+                r, c = int(rt), int(ct)
+            except ValueError:  # more digits than int reads
+                r, c = _integer(rt), _integer(ct)
         else:
             # a leading - is read, to be refused as out of range below
             r, c = _integer(rt), _integer(ct)

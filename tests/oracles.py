@@ -88,6 +88,16 @@ def graph_arrays_reference(n: int, pairs) -> tuple[np.ndarray, np.ndarray, int]:
     return indptr, dst[order], len(key)
 
 
+def random_graph_reference(n: int, density: float, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(indptr, indices, edge_count) of random_graph(n, density, seed),
+    drawing one uniform per pair of np.triu_indices(n, 1), in that order,
+    and building through graph_arrays_reference."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < density
+    return graph_arrays_reference(n, np.column_stack([iu[keep], ju[keep]]))
+
+
 def dimacs_text_reference(g) -> str:
     """DIMACS rendering with one formatted line per edge."""
     lines = [f"p edge {g.n} {g.edge_count}"]

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -39,6 +40,7 @@ from oracles import (
     dimacs_text_reference,
     exhaustive_maximal_cliques,
     graph_arrays_reference,
+    random_graph_reference,
     subset_is_clique,
 )
 from rankclique.graph import MAX_VERTICES
@@ -142,17 +144,35 @@ class TestConstruction:
 
     def test_dirty_pairs_match_the_unique_lexsort_reference(self):
         rng = np.random.default_rng(8)
+        cases = []
         for n in (1, 2, 5, 17, 60):
             for m in (0, 1, 3, 40, 400):
                 pairs = rng.integers(0, n, size=(m, 2))
                 # repeat some pairs swapped, and add self-loops
-                pairs = np.concatenate([pairs, pairs[: m // 3, ::-1], np.repeat(pairs[: m // 5, :1], 2, axis=1)])
+                cases.append((n, np.concatenate([pairs, pairs[: m // 3, ::-1], np.repeat(pairs[: m // 5, :1], 2, axis=1)])))
+        # pair counts around the bitmap build's threshold
+        # n² <= _BITMAP_PAIRS * pairs (least is the first count it takes),
+        # all self-loops, and no vertices
+        for n in (5, 17, 60, 200):
+            least = -(-n * n // graph_module._BITMAP_PAIRS)
+            for m in (least - 1, least, least + 1):
+                cases.append((n, rng.integers(0, n, size=(m, 2))))
+                cases.append((n, np.repeat(rng.integers(0, n, size=(m, 1)), 2, axis=1)))
+        cases += [(0, np.zeros((0, 2), dtype=np.int64)), (1, np.zeros((0, 2), dtype=np.int64)), (1, [(0, 0)])]
+        builds = set()
+        for n, pairs in cases:
+            with mock.patch.object(graph_module, "_sorted_keys", wraps=graph_module._sorted_keys) as sort:
                 g = graph_from_edge_list(n, pairs)
-                indptr, indices, edge_count = graph_arrays_reference(n, pairs)
-                assert g.edge_count == edge_count
-                assert g.indptr.dtype == g.indices.dtype == np.int64
-                assert np.array_equal(g.indptr, indptr)
-                assert np.array_equal(g.indices, indices)
+            bitmap = n * n <= graph_module._BITMAP_PAIRS * len(pairs)
+            assert sort.called != bitmap
+            builds.add(bitmap)
+            indptr, indices, edge_count = graph_arrays_reference(n, pairs)
+            assert g.edge_count == edge_count
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+            assert np.array_equal(g.indptr, indptr)
+            assert np.array_equal(g.indices, indices)
+        assert builds == {False, True}
 
     def test_edge_out_of_range(self):
         with pytest.raises(EdgeRangeError) as exc:
@@ -259,19 +279,22 @@ class TestAdjacencyOperator:
         assert runs[0] == runs[1]
 
     def test_operator_crossover_times_both_forms(self):
-        # tools/operator_crossover.py, which pins the dense band's 9/20,
-        # builds the forms with graph.py's private helpers; one small
-        # graph in a fresh process (the tool sets BLAS to one thread)
+        # tools/operator_crossover.py, which pins the dense band's 9/20
+        # and the bitmap build's threshold, builds the forms with
+        # graph.py's private helpers; one small graph and one small pair
+        # set in a fresh process (the tool sets BLAS to one thread)
         tool = Path(__file__).resolve().parent.parent / "tools" / "operator_crossover.py"
         script = (
             "import json, runpy\n"
-            f"row = runpy.run_path({str(tool)!r})['one_graph'](100, 0.45, 0, batches=1)\n"
-            "print(json.dumps(row))\n"
+            f"tool = runpy.run_path({str(tool)!r})\n"
+            "print(json.dumps([tool['one_graph'](100, 0.45, 0, batches=1), tool['one_build'](60, 4, 0, batches=1)]))\n"
         )
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
-        row = json.loads(out)
+        row, build = json.loads(out)
         assert 0.44 < row["sparser_side_share"] < 0.47 and row["sparse_side"] == "A"
         assert row["dense_us"] > 0 and row["sparse_us"] > 0
+        assert (build["n"], build["n2_over_pairs"], build["pairs"]) == (60, 4, 900)
+        assert build["sort_ms"] > 0 and build["bitmap_ms"] > 0
 
 
 class TestDimacs:
@@ -319,6 +342,9 @@ class TestDimacs:
             ("p edge +10 1\ne 1 2\n", 1, "non-integer problem line"),
             ("p edge 10 -1\n", 1, "negative counts"),
             ("p edge 10 1\ne -1 2\n", 2, "out of range"),
+            # more digits than Python's int reads
+            pytest.param("p edge " + "1" * 5000 + " 3\n", 1, "too large", id="5000-digit count"),
+            pytest.param("p edge 3 1\ne 1 " + "1" * 5000 + "\n", 2, "out of range", id="5000-digit label"),
         ],
     )
     def test_integer_fields_are_ascii_digits(self, text, line_no, message):
@@ -532,6 +558,31 @@ class TestRandomGraph:
         with pytest.raises(ValueError, match="density"):
             random_graph(5, 1.5, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 400])
+    def test_matches_the_triu_indices_reference(self, n):
+        for density in (0.0, 0.15, 0.5, 0.85, 1.0):
+            for seed in range(3):
+                g = random_graph(n, density, seed)
+                indptr, indices, edge_count = random_graph_reference(n, density, seed)
+                assert g.edge_count == edge_count
+                assert g.indptr.dtype == g.indices.dtype == np.int64
+                assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
+                assert np.array_equal(g.indptr, indptr)
+                assert np.array_equal(g.indices, indices)
+
+    @pytest.mark.parametrize("density, seed", [(0.15, 0), (0.5, 1), (0.85, 2)])
+    def test_peak_memory(self, density, seed):
+        # the float64 draws (4n² bytes) and one n² byte bitmap, then the
+        # graph's own arrays: no index array over all n(n-1)/2 pairs
+        n = 1500
+        tracemalloc.start()
+        try:
+            g = random_graph(n, density, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * n + g.indices.nbytes
+
 
 class TestCoordinateMatrix:
     def test_parse_toy(self):
@@ -587,6 +638,9 @@ class TestCoordinateMatrix:
             ("% c\n+2 2 1\n1 1 1\n", 2, "non-integer header"),
             ("2 2 1_0\n1 1 1\n", 1, "non-integer header"),
             ("2 -2 1\n1 1 1\n", 1, "negative header counts"),
+            # more digits than Python's int reads
+            pytest.param("1" * 5000 + " 2 3\n", 1, "too large", id="5000-digit count"),
+            pytest.param("2 2 1\n" + "1" * 5000 + " 1 1\n", 2, "out of range", id="5000-digit index"),
         ],
     )
     def test_counts_and_indices_are_ascii_digits(self, text, line_no, message):

@@ -1,17 +1,28 @@
-"""Crossover table for the stored forms of Graph.adj_matvec's operator.
+"""Crossover tables for the stored forms of Graph.adj_matvec's operator
+and for the two ways graph.py builds a graph from pairs.
 
     python3 tools/operator_crossover.py > crossover.json
 
-For each vertex count n and each share f of the n² entries, builds a
-few random graphs whose edges hold about that share (the sparser of A
-and Ā at f = 0.50 is A or Ā by a few entries) and times one adj_matvec
-pass with each form, as adj_matvec makes it: the dense float64 0/1
-matrix of A (one dgemv per row block) and the CSR that the sparser-side
-rule stores.  BLAS runs on one thread, as in perfbench.  Batches of
-passes alternate between the two forms; a graph's time per pass is the
-median over its batches, and each cell reports the medians over its
+Pass table: for each vertex count n and each share f of the n² entries,
+builds a few random graphs whose edges hold about that share (the
+sparser of A and Ā at f = 0.50 is A or Ā by a few entries) and times
+one adj_matvec pass with each form, as adj_matvec makes it: the dense
+float64 0/1 matrix of A (one dgemv per row block) and the CSR that the
+sparser-side rule stores.  Each cell reports the medians over its
 graphs of the times and of their ratio, sparse / dense (above 1 the
-dense pass is faster).  Prints one JSON object.
+dense pass is faster).
+
+Build table: for each n and each ratio r = n²/pairs, draws one set of
+n²/r dirty pairs (uniform over [0, n)², so with self-loops, repeats and
+both orientations) and times the build of the graph's arrays from them
+both ways, as _graph_from_pairs makes it: sorting the pairs' flat keys
+and marking them in an n x n bitmap.  Each cell reports the two times
+and their ratio, sort / bitmap (above 1 the bitmap is faster).  The
+largest cell (n = 4000, r = 1) holds 16M pairs and needs about 1 GB.
+
+In both, BLAS runs on one thread, as in perfbench, and batches alternate
+between the two forms; a time is the median over the batches.  Prints
+one JSON object.
 """
 
 from __future__ import annotations
@@ -33,7 +44,9 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rankclique.graph import Graph, _complement_structure, _csr, _dense_adjacency, _dense_pass  # noqa: E402
+from rankclique.graph import (  # noqa: E402
+    Graph, _complement_structure, _csr, _dense_adjacency, _dense_pass, _graph_of_keys, _marked_keys, _sorted_keys,
+)
 
 SIZES = (100, 400, 1000, 2000, 4000)
 SHARES = (0.35, 0.40, 0.45, 0.50)
@@ -41,11 +54,14 @@ GRAPHS = 3  # per cell, seeds SEED * 10000 + n onwards
 BATCHES = 15  # per graph and form
 BATCH_SECONDS = 0.05
 SEED = 1
+BUILD_SIZES = (400, 1000, 2000, 4000)
+BUILD_RATIOS = (1, 2, 4, 8, 16)  # n² / pairs
+BUILD_BATCHES = 7  # per pair set and build
 
 
 def half_dense_graph(n: int, p: float, seed: int) -> Graph:
     """Bernoulli graph with edge probability p, drawn one row block of
-    the upper triangle at a time (random_graph holds all n(n-1)/2 pairs)."""
+    the upper triangle at a time (random_graph draws all n(n-1)/2 at once)."""
     rng = np.random.default_rng(seed)
     mask = np.zeros((n, n), dtype=bool)
     for lo in range(0, n, 256):
@@ -53,11 +69,7 @@ def half_dense_graph(n: int, p: float, seed: int) -> Graph:
         mask[lo:hi] = rng.random((hi - lo, n)) < p
     mask = np.triu(mask, 1)
     mask |= mask.T
-    keys = np.flatnonzero(mask)
-    del mask
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    np.remainder(keys, n, out=keys)
-    return Graph(n=n, indptr=indptr, indices=keys, edge_count=len(keys) // 2)
+    return _graph_of_keys(n, np.flatnonzero(mask))
 
 
 def per_pass(product, u: np.ndarray, passes: int) -> float:
@@ -119,17 +131,46 @@ def cell(n: int, share: float) -> dict:
     return row
 
 
+def one_build(n: int, ratio: float, seed: int, batches: int = BUILD_BATCHES) -> dict:
+    """Times of the two builds of one graph's arrays from n²/ratio dirty
+    pairs, each as _graph_from_pairs runs it: _graph_of_keys over
+    _sorted_keys and over _marked_keys."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(round(n * n / ratio), 2))
+    a, b = pairs[:, 0], pairs[:, 1]
+
+    def build(keys):
+        return _graph_of_keys(n, keys(n, a, b))
+
+    g, h = build(_sorted_keys), build(_marked_keys)
+    assert np.array_equal(g.indptr, h.indptr) and np.array_equal(g.indices, h.indices)
+    del g, h
+    passes = max(1, round(BATCH_SECONDS / per_pass(build, _marked_keys, 1)))
+    times = {_sorted_keys: [], _marked_keys: []}
+    for k in range(batches):
+        for keys in (_sorted_keys, _marked_keys) if k % 2 == 0 else (_marked_keys, _sorted_keys):
+            times[keys].append(per_pass(build, keys, passes))
+    s, m = statistics.median(times[_sorted_keys]), statistics.median(times[_marked_keys])
+    return {"n": n, "n2_over_pairs": ratio, "pairs": len(pairs),
+            "sort_ms": round(s * 1e3, 3), "bitmap_ms": round(m * 1e3, 3), "sort_over_bitmap": round(s / m, 3)}
+
+
 def main() -> None:
     rows = []
     for n in SIZES:
         for share in SHARES:
             rows.append(cell(n, share))
             print(json.dumps(rows[-1]), file=sys.stderr)
+    builds = []
+    for n in BUILD_SIZES:
+        for ratio in BUILD_RATIOS:
+            builds.append(one_build(n, ratio, SEED * 10_000 + n))
+            print(json.dumps(builds[-1]), file=sys.stderr)
     print(json.dumps({
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, "
                    f"numpy {np.__version__}, scipy {scipy.__version__}, BLAS on 1 thread",
         "command": "python3 tools/operator_crossover.py",
         "rows": rows,
+        "builds": builds,
     }, indent=1))
 
 
