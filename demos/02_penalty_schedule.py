@@ -23,8 +23,8 @@ for k, rec in enumerate(result.iterates, start=1):
     support = int((rec.u > 0).sum())
     resid = (stationarity_residual(g, rec.d, rec.u)
              if float(rec.u @ rec.u) > 0 else float("inf"))
-    print(f"{k:>4} {rec.d:>9.2f} {support:>7} {rec.step.f_new:>10.3f} "
-          f"{resid:>9.2e} {rec.step.alpha_used:>9.2e}")
+    print(f"{k:>4} {rec.d:>9.2f} {support:>7} {rec.f_new:>10.3f} "
+          f"{resid:>9.2e} {rec.alpha_used:>9.2e}")
 
 print("\nclique:", result.clique.vertices)
 print("weights of clique vertices:",

@@ -1,13 +1,17 @@
 """Maximal clique search by penalized rank-one nonnegative matrix
 approximation, with classical simplex-relaxation baselines and an exact
-enumeration oracle for desk-scale validation."""
+enumeration oracle for desk-scale validation.
+
+The package exports what the command line and the demos use, the types
+those functions return and every error they raise.  The solver's parts
+(armijo_outer_iteration, gradient, md_matvec, ...), the baselines'
+update steps and the harness's run_algorithm stay importable from their
+modules."""
 
 from .baselines import (
     BaselineConfig,
     IndependentSupportError,
-    ding_step,
     extend_to_maximal,
-    pelillo_step,
     postprocess_greedy,
     run_baseline,
 )
@@ -23,16 +27,13 @@ from .graph import (
     graph_from_edge_list,
     is_clique,
     is_maximal_clique,
-    parse_coordinate_matrix,
     parse_dimacs,
     random_graph,
     read_dimacs,
     serialize_dimacs,
 )
 from .harness import (
-    ALGORITHMS,
     BenchRecord,
-    VerifyCheck,
     VerifyReport,
     cmd_bench_dimacs,
     cmd_bench_random,
@@ -40,32 +41,20 @@ from .harness import (
     cmd_solve,
     cmd_verify,
     records_to_csv,
-    run_algorithm,
 )
 from .oracle import (
     OracleLimitError,
     OracleLimits,
     enumerate_maximal_cliques,
     maximum_clique_exact,
-    motzkin_straus_value,
 )
 from .solver import (
-    ArmijoStep,
-    IterateRecord,
     NumericalDivergenceError,
     RoundingInvariantError,
     SolverConfig,
     SolverResult,
-    SolverState,
-    armijo_outer_iteration,
     d_max,
     default_d0,
-    gradient,
-    lift_ball_point,
-    md_matvec,
-    md_norm_sq,
-    objective_shifted,
-    round_phi,
     solve,
     stationarity_residual,
 )
@@ -73,8 +62,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
-    "ArmijoStep",
     "BaselineConfig",
     "BenchRecord",
     "CliqueSet",
@@ -85,17 +72,13 @@ __all__ = [
     "EdgelessGraphError",
     "Graph",
     "IndependentSupportError",
-    "IterateRecord",
     "NumericalDivergenceError",
     "OracleLimitError",
     "OracleLimits",
     "RoundingInvariantError",
     "SolverConfig",
     "SolverResult",
-    "SolverState",
-    "VerifyCheck",
     "VerifyReport",
-    "armijo_outer_iteration",
     "cmd_bench_dimacs",
     "cmd_bench_random",
     "cmd_ingest_text",
@@ -104,28 +87,17 @@ __all__ = [
     "cooccurrence_graph",
     "d_max",
     "default_d0",
-    "ding_step",
     "enumerate_maximal_cliques",
     "extend_to_maximal",
-    "gradient",
     "graph_from_edge_list",
     "is_clique",
     "is_maximal_clique",
-    "lift_ball_point",
     "maximum_clique_exact",
-    "md_matvec",
-    "md_norm_sq",
-    "motzkin_straus_value",
-    "objective_shifted",
-    "parse_coordinate_matrix",
     "parse_dimacs",
-    "pelillo_step",
     "postprocess_greedy",
     "random_graph",
     "read_dimacs",
     "records_to_csv",
-    "round_phi",
-    "run_algorithm",
     "run_baseline",
     "serialize_dimacs",
     "solve",

@@ -157,14 +157,6 @@ class Graph:
             return _csr(n, *_complement_structure(self)), True
         return _csr(n, self.indptr, self.indices), False
 
-    # the two halves of _stored_operator, for inspection
-    @property
-    def _operator(self) -> np.ndarray | sp.csr_matrix:
-        return self._stored_operator[0]
-
-    def _complement_side(self) -> bool:
-        return self._stored_operator[1]
-
     def adj_matvec(self, u: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ u in one pass over the stored
         operator (see _stored_operator): a dense dgemv over A on half-dense
@@ -367,8 +359,8 @@ def parse_dimacs(text: str | bytes) -> Graph:
 
 
 # The line breaks of the line readers: those of str.splitlines that are
-# ASCII, so on ASCII text the two split alike.  U+0085, U+2028 and U+2029
-# stay inside their line, where the non-ASCII check finds them.
+# ASCII.  U+0085, U+2028 and U+2029 stay inside their line, where the
+# non-ASCII check finds them.
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e]")
 # What str.strip removes from ASCII text.  Stripping only these leaves a
 # line's non-ASCII whitespace (U+00A0, U+3000) in place to be refused.
@@ -401,13 +393,11 @@ def _records(
     """
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="surrogateescape")
-    ascii_text = text.isascii()
-    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.strip(_ASCII_SPACE)
         if line.startswith(comment):
             continue
-        if not (ascii_text or line.isascii()):
+        if not line.isascii():
             raise error(line_no, f"non-ASCII character in {line!r}")
         if line:
             yield line_no, line, line.split()
@@ -657,16 +647,10 @@ def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, n
         if len(tokens) != 3:
             raise CoordinateFormatError(line_no, f"malformed entry {line!r}")
         rt, ct, xt = tokens
-        if rt.isdigit() and ct.isdigit():
-            try:
-                r, c = int(rt), int(ct)
-            except ValueError:  # more digits than int reads
-                r, c = _integer(rt), _integer(ct)
-        else:
-            # a leading - is read, to be refused as out of range below
-            r, c = _integer(rt), _integer(ct)
-            if r is None or c is None:
-                raise CoordinateFormatError(line_no, f"non-numeric entry {line!r}")
+        # a leading - is read, to be refused as out of range below
+        r, c = _integer(rt), _integer(ct)
+        if r is None or c is None:
+            raise CoordinateFormatError(line_no, f"non-numeric entry {line!r}")
         try:
             # float also reads `1_0`, as 10, a form no writer produces
             if "_" in xt:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 from pathlib import Path
 
@@ -48,20 +48,6 @@ from .solver import (
 
 ALGORITHMS = ("r1nm", "pelillo", "ding")
 
-CSV_FIELDS = (
-    "instance_name",
-    "n",
-    "edge_count",
-    "algorithm",
-    "seed",
-    "clique_size",
-    "valid",
-    "maximal",
-    "iterations",
-    "wall_time_ms",
-    "converged",
-)
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -88,6 +74,10 @@ class BenchRecord:
             else:
                 vals.append(str(v))
         return vals
+
+
+# the CSV columns, in BenchRecord's field order
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:

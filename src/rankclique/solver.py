@@ -9,11 +9,13 @@ penalized with a negative weight -d, giving the implicit matrix
 Minimizing ||M_d - u u^T||_F^2 over u >= 0 with a large enough penalty
 drives u toward the 0/1 indicator vector of a maximal clique, and the
 squared norm of the minimizer equals the clique size.  The solver runs
-projected gradient descent while growing d geometrically up to a
-graph-dependent cap; iterates are declared converged once every
-coordinate is numerically binary.  In place of the paper's Armijo
-backtracking, each step is an exact line search along the projected
-chord, where the objective's change is a quartic in the step length.
+projected gradient descent while growing d by the constant factor
+GAMMA each iteration up to a graph-dependent cap; iterates are declared
+converged once every coordinate is numerically binary.  In place of the
+paper's Armijo backtracking, each step is an exact line search along the
+projected chord, where the objective's change is a quartic in the step
+length, and the step size alpha follows where the minimizer fell (the
+constant BETA).
 
 M_d is never materialized: M_d u = (1 + d) (A u + u) - d * sum(u) needs
 one product A u from Graph.adj_matvec.  That is one pass over the
@@ -35,7 +37,7 @@ np.count_nonzero, which skips ndarray.any's Python layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -55,23 +57,27 @@ class RoundingInvariantError(RuntimeError):
     """A converged iterate rounded to something other than a maximal clique."""
 
 
+# The penalty schedule: d <- min(GAMMA d, d_max) every iteration.  After
+# a step to the chord's minimizer t* < 1, alpha becomes alpha max(t*, BETA);
+# after t* = 1 it becomes alpha / sqrt(BETA).
+GAMMA = 1.1
+BETA = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs for the projected gradient solver.
+    """Tuning knobs for the projected gradient solver.  The penalty's
+    growth factor and the step-size rule are the constants GAMMA and BETA.
 
-    gamma                : geometric growth factor of the penalty d
-    beta                 : alpha becomes alpha max(t*, beta) after a step
-                           t* < 1 along the chord, alpha / sqrt(beta) after t* = 1
-    d0_override          : starting penalty (default: Frobenius-balance value)
-    d_max_override       : penalty cap (default: 2 n ||B||_F)
+    d0_override          : starting penalty, finite and positive
+                           (default: Frobenius-balance value)
+    d_max_override       : penalty cap, finite and positive (default: 2 n ||B||_F)
     binary_tol_low       : coordinates at most this count as 0
     binary_tol_high      : closed interval of coordinates counting as 1
     max_outer_iterations : hard stop when the binary criterion never triggers
     seed                 : RNG seed for the uniform random start
     """
 
-    gamma: float = 1.1
-    beta: float = 0.5
     d0_override: float | None = None
     d_max_override: float | None = None
     binary_tol_low: float = 0.001
@@ -80,10 +86,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        # a zero start would stay zero under d <- GAMMA d; nan fails the test
+        for name in ("d0_override", "d_max_override"):
+            x = getattr(self, name)
+            if x is not None and not 0.0 < x < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {x}")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
 
@@ -91,13 +98,16 @@ class SolverConfig:
 @dataclass(frozen=True)
 class ArmijoStep:
     """Diagnostics of one outer iteration's line search.  There is one
-    chord evaluation per iteration, so trials is always 1."""
+    chord evaluation per iteration, so trials is always 1.  u, the new
+    iterate, is kept only on the steps that solve(record_iterates=True)
+    records."""
 
     d: float
     alpha_used: float
     f_old: float
     f_new: float
     accepted: bool
+    u: np.ndarray | None = None
     trials: ClassVar[int] = 1
 
 
@@ -118,15 +128,6 @@ class SolverState:
 
 
 @dataclass(frozen=True)
-class IterateRecord:
-    """One accepted iterate, for optional debug traces."""
-
-    d: float
-    u: np.ndarray
-    step: ArmijoStep
-
-
-@dataclass(frozen=True)
 class SolverResult:
     u_final: np.ndarray
     clique: CliqueSet
@@ -135,7 +136,7 @@ class SolverResult:
     objective_trace: list[float]
     clique_valid: bool
     clique_maximal: bool
-    iterates: list[IterateRecord] | None = None
+    iterates: list[ArmijoStep] | None = None
 
 
 def _nnz_b(g: Graph) -> int:
@@ -294,12 +295,12 @@ def _chord_minimizer(q1: float, q2: float, q3: float, q4: float) -> float:
 def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> SolverState:
     """One outer iteration: an exact line search along the projected
     chord p = [u - alpha g]_+ - u at the current penalty, then
-    d <- min(gamma d, d_max).
+    d <- min(GAMMA d, d_max).
 
     f(u + t p) - f(u) = q1 t + q2 t^2 + q3 t^3 + q4 t^4 comes from one
     pass A p and a few scalars, so it sees decreases far below one ulp of
     f.  The step goes to its minimizer t* over [0, 1], and A u + t* A p is
-    carried.  alpha then follows SolverConfig.beta; it stays put if p = 0.
+    carried.  alpha then follows BETA; it stays put if p = 0.
     The name and ArmijoStep's trials (always 1) and accepted (t* > 0)
     stay because perfbench/tracing.py reads them.
     """
@@ -329,13 +330,13 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
 
     t = _chord_minimizer(*q)
     if t == 1.0:
-        u_new, alpha = cand, alpha / math.sqrt(cfg.beta)
+        u_new, alpha = cand, alpha / math.sqrt(BETA)
     else:
         # [u + t p]_+ in p's array
         p *= t
         u_new = np.add(u, p, out=p)
         np.maximum(u_new, 0.0, out=u_new)
-        alpha *= max(t, cfg.beta) if pp > 0.0 else 1.0
+        alpha *= max(t, BETA) if pp > 0.0 else 1.0
     # A u + t A p in A p's array
     ap *= t
     au_new = np.add(au, ap, out=ap)
@@ -349,7 +350,7 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     return SolverState(
         u=u_new,
         au=au_new,
-        d=min(cfg.gamma * d, cap),
+        d=min(GAMMA * d, cap),
         alpha=alpha,
         iteration=state.iteration + 1,
         last_step=step,
@@ -412,14 +413,14 @@ def solve(
 
     state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0)
     trace: list[float] = []
-    iterates: list[IterateRecord] | None = [] if record_iterates else None
+    iterates: list[ArmijoStep] | None = [] if record_iterates else None
     converged = False
     while state.iteration < cfg.max_outer_iterations:
         state = armijo_outer_iteration(g, cfg, state)
         assert state.last_step is not None
         trace.append(state.last_step.f_new)
         if iterates is not None:
-            iterates.append(IterateRecord(d=state.last_step.d, u=state.u.copy(), step=state.last_step))
+            iterates.append(replace(state.last_step, u=state.u.copy()))
         if _is_binary(state.u, cfg):
             converged = True
             break

@@ -134,7 +134,7 @@ def plain_chord_step(g, cfg, u, au, d, alpha):
     array: (u, A u, d, alpha, f_new) after the step.  It makes the same
     pass (g.adj_matvec) and line search (solver._chord_minimizer) as the
     library's step, so the two must agree bit for bit."""
-    from rankclique.solver import _chord_minimizer, _quartic, d_max
+    from rankclique.solver import BETA, GAMMA, _chord_minimizer, _quartic, d_max
 
     cap = cfg.d_max_override if cfg.d_max_override is not None else d_max(g)
     mdu = (1.0 + d) * (au + u) - d * float(u.sum())
@@ -150,11 +150,11 @@ def plain_chord_step(g, cfg, u, au, d, alpha):
     q = (2.0 * (uu * up - u_md_p), 2.0 * up * up + pp * uu - p_md_p, 2.0 * up * pp, 0.5 * pp * pp)
     t = _chord_minimizer(*q)
     if t == 1.0:
-        u_new, alpha_new = cand, alpha / math.sqrt(cfg.beta)
+        u_new, alpha_new = cand, alpha / math.sqrt(BETA)
     else:
         u_new = np.maximum(u + t * p, 0.0)
-        alpha_new = alpha * (max(t, cfg.beta) if pp > 0.0 else 1.0)
-    return u_new, au + t * ap, min(cfg.gamma * d, cap), alpha_new, f_old + _quartic(t, *q)
+        alpha_new = alpha * (max(t, BETA) if pp > 0.0 else 1.0)
+    return u_new, au + t * ap, min(GAMMA * d, cap), alpha_new, f_old + _quartic(t, *q)
 
 
 def plain_replicator_step(g, u, eta: float = 1.0):

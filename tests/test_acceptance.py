@@ -25,19 +25,15 @@ from rankclique import (
     cmd_solve,
     d_max,
     enumerate_maximal_cliques,
-    gradient,
     graph_from_edge_list,
     maximum_clique_exact,
-    md_norm_sq,
-    objective_shifted,
-    pelillo_step,
-    ding_step,
     random_graph,
     read_dimacs,
-    round_phi,
     solve,
     stationarity_residual,
 )
+from rankclique.baselines import ding_step, pelillo_step
+from rankclique.solver import gradient, md_norm_sq, objective_shifted, round_phi
 from oracles import central_diff_gradient
 
 

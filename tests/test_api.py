@@ -1,0 +1,94 @@
+"""The package's public names, and the hooks the benchmark's tracer
+wraps by name (perfbench/tracing.py), so that a rename fails here and
+not only in the benchmark's own tests."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rankclique
+from rankclique import Graph, SolverConfig
+from rankclique.solver import SolverState, armijo_outer_iteration
+
+PUBLIC = set(
+    "BaselineConfig BenchRecord CliqueSet CoordinateFormatError DimacsFormatError "
+    "DimacsWarning EdgeRangeError EdgelessGraphError Graph IndependentSupportError "
+    "NumericalDivergenceError OracleLimitError OracleLimits RoundingInvariantError "
+    "SolverConfig SolverResult VerifyReport cmd_bench_dimacs cmd_bench_random "
+    "cmd_ingest_text cmd_solve cmd_verify cooccurrence_graph d_max default_d0 "
+    "enumerate_maximal_cliques extend_to_maximal graph_from_edge_list is_clique "
+    "is_maximal_clique maximum_clique_exact parse_dimacs postprocess_greedy "
+    "random_graph read_dimacs records_to_csv run_baseline serialize_dimacs solve "
+    "stationarity_residual".split()
+)
+
+# names that live only in their modules
+MODULE_ONLY = {
+    "baselines": ["ding_step", "pelillo_step"],
+    "graph": ["parse_coordinate_matrix"],
+    "harness": ["ALGORITHMS", "VerifyCheck", "run_algorithm"],
+    "oracle": ["motzkin_straus_value"],
+    "solver": [
+        "ArmijoStep",
+        "SolverState",
+        "armijo_outer_iteration",
+        "gradient",
+        "lift_ball_point",
+        "md_matvec",
+        "md_norm_sq",
+        "objective_shifted",
+        "round_phi",
+    ],
+}
+
+
+def test_all_names_exactly_the_public_api():
+    assert len(rankclique.__all__) == len(PUBLIC) == 40
+    assert set(rankclique.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(rankclique, name) is not None, name
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Library quick start") : readme.index("## CLI")]
+    named = set(re.findall(r"\w+", section))
+    assert PUBLIC <= named, sorted(PUBLIC - named)
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_ONLY))
+def test_module_only_names_import_from_their_module(module):
+    mod = importlib.import_module(f"rankclique.{module}")
+    for name in MODULE_ONLY[module]:
+        assert hasattr(mod, name), f"rankclique.{module}.{name}"
+        assert name not in rankclique.__all__
+
+
+def _traced_functions() -> tuple[tuple[str, str], ...]:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.TRACED_FUNCTIONS
+
+
+def test_traced_functions_resolve():
+    pairs = _traced_functions()
+    assert ("solver", "armijo_outer_iteration") in pairs
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(f"rankclique.{module}"), name)), f"{module}.{name}"
+    assert callable(Graph.__dict__["adj_matvec"])
+
+
+def test_traced_step_reports_trials_and_acceptance(k3):
+    u = np.full(3, 0.5)
+    state = SolverState(u=u, au=k3.adj_matvec(u), d=1.0, alpha=0.1)
+    step = armijo_outer_iteration(k3, SolverConfig(), state).last_step
+    assert step.trials == 1
+    assert step.accepted is True

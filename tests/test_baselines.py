@@ -10,15 +10,14 @@ from rankclique import (
     CliqueSet,
     EdgelessGraphError,
     IndependentSupportError,
-    ding_step,
     extend_to_maximal,
     graph_from_edge_list,
     is_clique,
     is_maximal_clique,
-    pelillo_step,
     postprocess_greedy,
     run_baseline,
 )
+from rankclique.baselines import ding_step, pelillo_step
 from conftest import small_random_graphs, stored_form_graphs
 from oracles import plain_baseline_loop, plain_replicator_step
 

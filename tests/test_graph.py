@@ -28,7 +28,6 @@ from rankclique import (
     graph_from_edge_list,
     is_clique,
     is_maximal_clique,
-    parse_coordinate_matrix,
     parse_dimacs,
     random_graph,
     read_dimacs,
@@ -43,7 +42,7 @@ from oracles import (
     random_graph_reference,
     subset_is_clique,
 )
-from rankclique.graph import MAX_VERTICES
+from rankclique.graph import MAX_VERTICES, parse_coordinate_matrix
 
 K3_DIMACS = """c toy triangle
 p edge 3 3
@@ -241,7 +240,7 @@ class TestAdjacencyOperator:
         assert np.allclose(g.adj_matvec(u), a @ u, rtol=0.0, atol=1e-12 * (1.0 + np.abs(u).sum()))
         s = (rng.random(n) < 0.5).astype(np.float64)
         assert np.array_equal(g.adj_matvec(s), a @ s)
-        op, complement = g._operator, g._complement_side()
+        op, complement = g._stored_operator
         non_edges = n * (n - 1) - 2 * m
         if 20 * min(2 * m, non_edges) >= 9 * n * n:
             assert isinstance(op, np.ndarray) and not complement
@@ -262,7 +261,7 @@ class TestAdjacencyOperator:
             "h = hashlib.sha256()\n"
             "for seed in range(5):\n"
             "    h.update(g.adj_matvec(np.random.default_rng(seed).random(g.n)).tobytes())\n"
-            "assert isinstance(g._operator, np.ndarray)\n"
+            "assert isinstance(g._stored_operator[0], np.ndarray)\n"
             "r = solve(g, SolverConfig(seed=0))\n"
             "h.update(r.u_final.tobytes())\n"
             "print(h.hexdigest(), r.iterations, r.clique.vertices)\n"
@@ -833,7 +832,8 @@ class TestCliquePredicates:
     def test_matching_complement_cliques_take_one_vertex_per_pair(self):
         k = 4
         g = complete_minus_matching(k)
-        assert g._complement_side() and g._operator.nnz == 2 * k
+        op, complement = g._stored_operator
+        assert complement and op.nnz == 2 * k
         transversals = {tuple(2 * i + b for i, b in enumerate(bits)) for bits in np.ndindex(*(2,) * k)}
         assert {vs for vs in combinations(range(2 * k), k) if is_maximal_clique(g, vs)} == transversals
         assert extend_to_maximal(g, CliqueSet(())).vertices == (0, 2, 4, 6)

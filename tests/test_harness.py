@@ -17,16 +17,16 @@ from rankclique import (
     Graph,
     cooccurrence_graph,
     graph_from_edge_list,
-    pelillo_step,
     random_graph,
     read_dimacs,
     records_to_csv,
-    run_algorithm,
     run_baseline,
     serialize_dimacs,
     solve,
 )
 from rankclique import harness
+from rankclique.baselines import pelillo_step
+from rankclique.harness import run_algorithm
 from rankclique.cli import main
 from test_graph import COORD_TOY, K3_DIMACS
 
@@ -289,6 +289,10 @@ class TestCli:
     def test_bad_random_spec_exits_nonzero(self, capsys):
         assert main(["solve", "--random", "n=10,rho=0.5"]) == 1
         assert "unknown --random fields" in capsys.readouterr().err
+
+    def test_bad_penalty_cap_exits_nonzero(self, capsys):
+        assert main(["solve", "--random", "n=30,density=0.5,seed=1", "--dmax", "nan"]) == 1
+        assert "d_max_override" in capsys.readouterr().err
 
     def test_bench_random(self, tmp_path):
         out = tmp_path / "bench.csv"

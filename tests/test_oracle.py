@@ -9,8 +9,8 @@ from rankclique import (
     enumerate_maximal_cliques,
     graph_from_edge_list,
     maximum_clique_exact,
-    motzkin_straus_value,
 )
+from rankclique.oracle import motzkin_straus_value
 from conftest import small_random_graphs
 from oracles import dense_adjacency, exhaustive_maximal_cliques
 

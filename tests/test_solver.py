@@ -11,28 +11,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankclique import (
-    ArmijoStep,
     EdgelessGraphError,
     Graph,
     NumericalDivergenceError,
     SolverConfig,
-    SolverState,
-    armijo_outer_iteration,
     d_max,
     default_d0,
     graph_from_edge_list,
-    gradient,
     is_maximal_clique,
+    random_graph,
+    solve,
+    stationarity_residual,
+)
+from rankclique.solver import (
+    ArmijoStep,
+    SolverState,
+    _chord_minimizer,
+    armijo_outer_iteration,
+    gradient,
     lift_ball_point,
     md_matvec,
     md_norm_sq,
     objective_shifted,
-    random_graph,
     round_phi,
-    solve,
-    stationarity_residual,
 )
-from rankclique.solver import _chord_minimizer
 from conftest import small_random_graphs, stored_form_graphs
 from oracles import (
     central_diff_gradient,
@@ -193,11 +195,11 @@ class TestArmijoIteration:
             assert res.iterates is not None
             prev_u = np.random.default_rng(1).random(g.n)
             for rec in res.iterates:
-                f_old = objective_shifted(g, rec.step.d, prev_u)
-                f_new = objective_shifted(g, rec.step.d, rec.u)
+                f_old = objective_shifted(g, rec.d, prev_u)
+                f_new = objective_shifted(g, rec.d, rec.u)
                 assert f_new <= f_old + 1e-12 * abs(f_old)
-                assert rec.step.f_new <= rec.step.f_old
-                assert rec.step.trials == 1
+                assert rec.f_new <= rec.f_old
+                assert rec.trials == 1
                 prev_u = rec.u
 
     def test_one_adjacency_pass_per_trial(self, monkeypatch):
@@ -223,10 +225,10 @@ class TestArmijoIteration:
             # pass to rounding
             prev_u = np.random.default_rng(1).random(g.n)
             for rec in res.iterates:
-                fresh_old = objective_shifted(g, rec.step.d, prev_u)
-                fresh_new = objective_shifted(g, rec.step.d, rec.u)
-                assert rec.step.f_old == pytest.approx(fresh_old, rel=1e-12)
-                assert rec.step.f_new == pytest.approx(fresh_new, rel=1e-12)
+                fresh_old = objective_shifted(g, rec.d, prev_u)
+                fresh_new = objective_shifted(g, rec.d, rec.u)
+                assert rec.f_old == pytest.approx(fresh_old, rel=1e-12)
+                assert rec.f_new == pytest.approx(fresh_new, rel=1e-12)
                 prev_u = rec.u
 
     def test_non_finite_iterate_raises(self, k2):
@@ -247,7 +249,7 @@ class TestLeanStep:
     def test_graphs_cover_every_stored_form(self):
         # (dense, complement side) per graph
         forms = {
-            name: (isinstance(g._operator, np.ndarray), g._complement_side())
+            name: (isinstance(g._stored_operator[0], np.ndarray), g._stored_operator[1])
             for name, g in stored_form_graphs().items()
         }
         assert forms == {"csr_of_a": (False, False), "csr_of_complement": (False, True), "dense": (True, False)}
@@ -288,7 +290,7 @@ class TestLeanStep:
         for rec in res.iterates:
             *state, f_new = plain_chord_step(g, cfg, *state)
             assert _bits(rec.u) == _bits(state[0])
-            assert _bits(rec.step.f_new) == _bits(f_new)
+            assert _bits(rec.f_new) == _bits(f_new)
         assert _bits(res.u_final) == _bits(state[0])
 
     def test_iteration_cost_times_the_step_and_the_baselines(self):
@@ -387,11 +389,16 @@ class TestChordMinimizer:
 
 
 class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="gamma"):
-            SolverConfig(gamma=1.0)
-        with pytest.raises(ValueError, match="beta"):
-            SolverConfig(beta=1.0)
+    # d = 0 stays 0 under d <- GAMMA d, so the penalty would never grow
+    @pytest.mark.parametrize("d0", [-5.0, 0.0, math.nan, math.inf])
+    def test_penalty_start_must_be_finite_and_positive(self, d0):
+        with pytest.raises(ValueError, match="d0_override"):
+            SolverConfig(d0_override=d0)
+
+    @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan, math.inf])
+    def test_penalty_cap_must_be_finite_and_positive(self, cap):
+        with pytest.raises(ValueError, match="d_max_override"):
+            SolverConfig(d_max_override=cap)
 
 
 class TestSolve:
@@ -471,4 +478,6 @@ class TestSolve:
         res = solve(star5, record_iterates=True)
         assert res.iterates is not None
         assert len(res.iterates) == res.iterations
-        assert [rec.step.f_new for rec in res.iterates] == res.objective_trace
+        assert [rec.f_new for rec in res.iterates] == res.objective_trace
+        # each record is the step with its iterate attached
+        assert all(isinstance(rec, ArmijoStep) and rec.u.shape == (star5.n,) for rec in res.iterates)
