@@ -8,7 +8,6 @@ become a clique, and that postprocess can stop short of maximality.
 import numpy as np
 
 from rankclique import (
-    BaselineConfig,
     extend_to_maximal,
     is_maximal_clique,
     maximum_clique_exact,
@@ -23,8 +22,8 @@ g = random_graph(40, 0.6, seed=9)
 omega = maximum_clique_exact(g).size
 print(f"n={g.n} edges={g.edge_count} clique number={omega}\n")
 
-for kind, cfg in [("pelillo", BaselineConfig()), ("ding", BaselineConfig(eta=1.05))]:
-    u, iterations, converged = run_baseline(g, kind, cfg)
+for kind in ("pelillo", "ding"):
+    u, iterations, converged = run_baseline(g, kind)
     clique = postprocess_greedy(g, u)
     maximal = is_maximal_clique(g, clique.vertices)
     print(f"{kind:8}: {iterations:5} iterations, converged={converged}, "

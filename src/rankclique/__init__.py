@@ -5,11 +5,10 @@ enumeration oracle for desk-scale validation.
 The package exports what the command line and the demos use, the types
 those functions return and every error they raise.  The solver's parts
 (armijo_outer_iteration, gradient, md_matvec, ...), the baselines'
-update steps and the harness's run_algorithm stay importable from their
-modules."""
+update steps and stopping constants, the oracle's limits and the
+harness's run_algorithm stay importable from their modules."""
 
 from .baselines import (
-    BaselineConfig,
     IndependentSupportError,
     extend_to_maximal,
     postprocess_greedy,
@@ -44,7 +43,6 @@ from .harness import (
 )
 from .oracle import (
     OracleLimitError,
-    OracleLimits,
     enumerate_maximal_cliques,
     maximum_clique_exact,
 )
@@ -62,7 +60,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig",
     "BenchRecord",
     "CliqueSet",
     "CoordinateFormatError",
@@ -74,7 +71,6 @@ __all__ = [
     "IndependentSupportError",
     "NumericalDivergenceError",
     "OracleLimitError",
-    "OracleLimits",
     "RoundingInvariantError",
     "SolverConfig",
     "SolverResult",

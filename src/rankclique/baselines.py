@@ -12,34 +12,30 @@ come from a greedy postprocess over the final weights.  The greedy scan
 deliberately stops at the first non-extending vertex and does not try
 to repair or extend further; callers wanting guaranteed maximality must
 extend the result themselves.
+
+run_baseline stops once the squared step length ||u_next - u||_2^2
+drops below TOL, or after MAX_ITERATIONS steps; ETA is the annealed
+variant's default exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import CliqueSet, EdgelessGraphError, Graph, _clique_check
+
+ETA = 1.05
+TOL = 1e-10
+MAX_ITERATIONS = 100_000
 
 
 class IndependentSupportError(ValueError):
     """u^T A u vanished: the iterate's support is an independent set."""
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    eta: float = 1.05
-    tol: float = 1e-10          # threshold on ||u_next - u||_2^2
-    max_iterations: int = 100_000
-
-    def __post_init__(self):
-        if not 1.0 <= self.eta <= 2.0:
-            raise ValueError(f"eta must lie in [1, 2], got {self.eta}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+def _check_eta(eta: float) -> None:
+    if not 1.0 <= eta <= 2.0:
+        raise ValueError(f"eta must lie in [1, 2], got {eta}")
 
 
 def _replicator_update(u: np.ndarray, au: np.ndarray, eta: float) -> np.ndarray:
@@ -75,22 +71,20 @@ def ding_step(g: Graph, u: np.ndarray, eta: float) -> np.ndarray:
 
     With eta = 1 this is bitwise identical to pelillo_step.
     """
-    if not 1.0 <= eta <= 2.0:
-        raise ValueError(f"eta must lie in [1, 2], got {eta}")
+    _check_eta(eta)
     u = np.asarray(u, dtype=np.float64)
     return _replicator_update(u, g.adj_matvec(u), eta)
 
 
-def run_baseline(
-    g: Graph, kind: str, cfg: BaselineConfig | None = None
-) -> tuple[np.ndarray, int, bool]:
+def run_baseline(g: Graph, kind: str, eta: float = ETA) -> tuple[np.ndarray, int, bool]:
     """Iterate a baseline from the uniform feasible start.
 
-    kind is "pelillo" or "ding".  Returns (final weights, iterations,
+    kind is "pelillo" or "ding"; eta, in [1, 2], is ding's exponent and
+    is checked for either kind.  Returns (final weights, iterations,
     converged); converged means the squared step length dropped below
-    cfg.tol within cfg.max_iterations steps.
+    TOL within MAX_ITERATIONS steps.
     """
-    cfg = cfg if cfg is not None else BaselineConfig()
+    _check_eta(eta)
     if kind not in ("pelillo", "ding"):
         raise ValueError(f"unknown baseline kind {kind!r}")
     if g.edge_count == 0:
@@ -99,16 +93,16 @@ def run_baseline(
     if kind == "pelillo":
         u, eta = np.full(g.n, 1.0 / g.n), 1.0
     else:
-        u, eta = np.full(g.n, g.n ** (-1.0 / cfg.eta)), cfg.eta  # uniform point of the eta-simplex
+        u = np.full(g.n, g.n ** (-1.0 / eta))  # uniform point of the eta-simplex
 
     delta = np.empty(g.n)
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         u_next = _replicator_update(u, g.adj_matvec(u), eta)
         np.subtract(u_next, u, out=delta)
         u = u_next
-        if float(delta.dot(delta)) < cfg.tol:
+        if float(delta.dot(delta)) < TOL:
             return u, it, True
-    return u, cfg.max_iterations, False
+    return u, MAX_ITERATIONS, False
 
 
 def postprocess_greedy(g: Graph, u: np.ndarray) -> CliqueSet:

@@ -56,12 +56,32 @@ def _emit_csv(csv_text: str, path: str | None) -> None:
         Path(path).write_text(csv_text)
 
 
-def _csv_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+# an empty list or a count below 1 would run nothing and still exit 0,
+# so the parser refuses them (exit status 2)
+def _items(text: str) -> list[str]:
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")
+    return items
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in _items(text)]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in _items(text)]
+
+
+def _count(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
 
 
 def _algo_list(text: str) -> tuple[str, ...]:
-    algos = tuple(a.strip() for a in text.split(",") if a.strip())
+    algos = tuple(_items(text))
     for a in algos:
         if a not in ALGORITHMS:
             raise argparse.ArgumentTypeError(f"unknown algorithm {a!r}")
@@ -97,29 +117,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     _add_instance_args(p)
     p.add_argument("--algo", default="r1nm", choices=ALGORITHMS)
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--restarts", type=_count, default=1)
     _add_solver_args(p)
 
     p = sub.add_parser("bench-random", help="sweep random graphs with all algorithms")
     p.add_argument("--n", type=int, default=400)
-    p.add_argument("--densities", type=_csv_list, default=[0.15, 0.50, 0.85])
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--densities", type=_float_list, default=[0.15, 0.50, 0.85])
+    p.add_argument("--trials", type=_count, default=10)
     p.add_argument("--algos", type=_algo_list, default=ALGORITHMS)
     _add_solver_args(p)
 
     p = sub.add_parser("bench-dimacs", help="benchmark every .clq file in a directory")
     p.add_argument("dir", help="directory containing DIMACS .clq files")
     p.add_argument("--algos", type=_algo_list, default=ALGORITHMS)
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--restarts", type=_count, default=1)
     _add_solver_args(p)
 
     p = sub.add_parser("verify", help="check theory properties on a small instance")
     _add_instance_args(p)
-    p.add_argument("--seeds", type=int, default=3, help="number of solve seeds to check")
+    p.add_argument("--seeds", type=_count, default=3, help="number of solve seeds to check")
 
     p = sub.add_parser("ingest-text", help="doc-term coordinate file -> co-occurrence DIMACS")
     p.add_argument("coord", help="path to the coordinate-format doc-term matrix")
-    p.add_argument("--p", type=str, default="1", help="comma-separated share thresholds")
+    p.add_argument("--p", type=_int_list, default=[1], help="comma-separated share thresholds")
     p.add_argument("--out-dir", default=".", help="directory for the generated .clq files")
 
     return parser
@@ -195,8 +215,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if report.all_passed else 1
 
         if args.command == "ingest-text":
-            p_values = [int(x) for x in args.p.split(",") if x]
-            results = cmd_ingest_text(args.coord, p_values, args.out_dir)
+            results = cmd_ingest_text(args.coord, args.p, args.out_dir)
             for r in results:
                 print(f"p={r.p}: n={r.n} edges={r.edge_count} -> {r.path}")
             return 0

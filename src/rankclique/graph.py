@@ -113,16 +113,6 @@ class Graph:
         """Sorted neighbor indices of v (a read-only view)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        nbrs = self.neighbors(u)
-        k = int(np.searchsorted(nbrs, v))
-        return k < len(nbrs) and nbrs[k] == v
-
     def edges(self) -> np.ndarray:
         """(edge_count, 2) array of edges with u < v, sorted lexicographically."""
         src = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -309,14 +299,23 @@ def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from 0-based edge pairs.
 
     Input may contain duplicates, self-loops, and either endpoint order;
-    all of that is sanitized away.  Raises EdgeRangeError for endpoints
-    outside [0, n).
+    all of that is sanitized away.  Raises ValueError for an endpoint
+    that is not an integer (1.7, nan, inf) and EdgeRangeError for
+    endpoints outside [0, n).
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges)
+    if pairs.dtype.kind not in "biu":
+        # a cast to int64 would truncate 1.7 to 1
+        pairs = pairs.astype(np.float64).reshape(-1, 2)
+        whole = (np.isfinite(pairs) & (pairs == np.round(pairs))).all(axis=1)
+        if not whole.all():
+            i = int(np.nonzero(~whole)[0][0])
+            raise ValueError(f"edge {tuple(pairs[i].tolist())} has a non-integer endpoint")
+    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     if pairs.size:
         bad = (pairs < 0) | (pairs >= n)
         if bad.any():

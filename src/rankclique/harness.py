@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
-    BaselineConfig,
+    ETA,
+    MAX_ITERATIONS,
+    TOL,
     _replicator_update,
     extend_to_maximal,
     postprocess_greedy,
@@ -25,6 +27,7 @@ from .baselines import (
 )
 from .graph import (
     CliqueSet,
+    EdgelessGraphError,
     Graph,
     _cooccurrence_from_counts,
     _shared_term_counts,
@@ -33,7 +36,7 @@ from .graph import (
     random_graph,
     serialize_dimacs,
 )
-from .oracle import OracleLimits, enumerate_maximal_cliques, maximum_clique_exact
+from .oracle import enumerate_maximal_cliques, maximum_clique_exact
 from .solver import (
     SolverConfig,
     SolverResult,
@@ -123,8 +126,7 @@ def run_algorithm(
             clique = extend_to_maximal(g, clique)
             tag = algo + "+max"
     else:
-        cfg = BaselineConfig() if eta is None else BaselineConfig(eta=eta)
-        u, iterations, converged = run_baseline(g, algo, cfg)
+        u, iterations, converged = run_baseline(g, algo, ETA if eta is None else eta)
         clique = postprocess_greedy(g, u)
         if maximalize:
             clique = extend_to_maximal(g, clique)
@@ -266,15 +268,14 @@ def _dense_md(g: Graph, d: float) -> np.ndarray:
 def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 2)) -> VerifyReport:
     """Check the theory-backed properties on one small instance.
 
-    Needs the exact oracle, so the instance must respect OracleLimits
+    Needs the exact oracle, so the instance must respect its limits
     and must have at least one edge.
     """
     if g.edge_count == 0:
-        raise ValueError("verify needs a graph with at least one edge")
+        raise EdgelessGraphError("verify needs a graph with at least one edge")
     checks: list[VerifyCheck] = []
-    limits = OracleLimits()
-    maximal_cliques = enumerate_maximal_cliques(g, limits)
-    omega = maximum_clique_exact(g, limits).size
+    maximal_cliques = enumerate_maximal_cliques(g)
+    omega = maximum_clique_exact(g).size
     cap = d_max(g)
 
     # stationarity of maximal-clique indicators at both test penalties
@@ -375,8 +376,7 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
     u = np.full(g.n, 1.0 / g.n)
     ms_ok = True
     worst_q = 0.0
-    base_cfg = BaselineConfig()
-    for _ in range(base_cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         au = g.adj_matvec(u)
         q = float(u @ au)
         worst_q = max(worst_q, q)
@@ -386,7 +386,7 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         u_next = _replicator_update(u, au, 1.0)
         delta = u_next - u
         u = u_next
-        if float(delta @ delta) < base_cfg.tol:
+        if float(delta @ delta) < TOL:
             break
     checks.append(
         VerifyCheck(

@@ -2,22 +2,17 @@
 
 Bron-Kerbosch with pivoting over bitmask vertex sets.  Deliberately
 bounded: the point of this module is to provide ground truth for tests
-and benchmarks at desk scale, not to compete on large graphs.
+and benchmarks at desk scale, not to compete on large graphs.  Graphs
+with more than MAX_ORACLE_VERTICES vertices, or with more than
+MAX_REPORTED_CLIQUES maximal cliques, are refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import CliqueSet, Graph
 
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Hard bounds on exhaustive enumeration."""
-
-    max_vertices: int = 64
-    max_reported_cliques: int = 1_000_000
+MAX_ORACLE_VERTICES = 64
+MAX_REPORTED_CLIQUES = 1_000_000
 
 
 class OracleLimitError(ValueError):
@@ -41,16 +36,16 @@ def _bits(mask: int):
         mask ^= low
 
 
-def enumerate_maximal_cliques(g: Graph, limits: OracleLimits = OracleLimits()) -> list[CliqueSet]:
+def enumerate_maximal_cliques(g: Graph) -> list[CliqueSet]:
     """All maximal cliques, sorted lexicographically by vertex list.
 
     Raises OracleLimitError when the graph has more than
-    limits.max_vertices vertices or enumeration would report more than
-    limits.max_reported_cliques cliques.
+    MAX_ORACLE_VERTICES vertices or enumeration would report more than
+    MAX_REPORTED_CLIQUES cliques.
     """
-    if g.n > limits.max_vertices:
+    if g.n > MAX_ORACLE_VERTICES:
         raise OracleLimitError(
-            f"graph has {g.n} vertices, oracle limit is {limits.max_vertices}; "
+            f"graph has {g.n} vertices, oracle limit is {MAX_ORACLE_VERTICES}; "
             "use a smaller instance"
         )
     nbr = _neighbor_masks(g)
@@ -58,9 +53,9 @@ def enumerate_maximal_cliques(g: Graph, limits: OracleLimits = OracleLimits()) -
 
     def expand(r: tuple[int, ...], p: int, x: int) -> None:
         if p == 0 and x == 0:
-            if len(found) >= limits.max_reported_cliques:
+            if len(found) >= MAX_REPORTED_CLIQUES:
                 raise OracleLimitError(
-                    f"more than {limits.max_reported_cliques} maximal cliques; "
+                    f"more than {MAX_REPORTED_CLIQUES} maximal cliques; "
                     "use a smaller instance"
                 )
             found.append(r)
@@ -82,19 +77,11 @@ def enumerate_maximal_cliques(g: Graph, limits: OracleLimits = OracleLimits()) -
     return [CliqueSet(t) for t in sorted(tuple(sorted(t)) for t in found)]
 
 
-def maximum_clique_exact(g: Graph, limits: OracleLimits = OracleLimits()) -> CliqueSet:
+def maximum_clique_exact(g: Graph) -> CliqueSet:
     """A maximum clique; ties broken by lexicographically smallest vertex list."""
-    cliques = enumerate_maximal_cliques(g, limits)
+    cliques = enumerate_maximal_cliques(g)
     if not cliques:
         return CliqueSet(())
     best = max(c.size for c in cliques)
     return next(c for c in cliques if c.size == best)
 
-
-def motzkin_straus_value(g: Graph, limits: OracleLimits = OracleLimits()) -> float:
-    """Optimal value 1 - 1/omega of the quadratic clique relaxation
-    over the probability simplex."""
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    omega = maximum_clique_exact(g, limits).size
-    return 1.0 - 1.0 / omega

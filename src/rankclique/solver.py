@@ -72,16 +72,15 @@ class SolverConfig:
     d0_override          : starting penalty, finite and positive
                            (default: Frobenius-balance value)
     d_max_override       : penalty cap, finite and positive (default: 2 n ||B||_F)
-    binary_tol_low       : coordinates at most this count as 0
-    binary_tol_high      : closed interval of coordinates counting as 1
+    binary_tol           : width of the binary bands, in (0, 0.5): a coordinate
+                           counts as 0 in [0, tol] and as 1 in [1 - tol, 1 + tol]
     max_outer_iterations : hard stop when the binary criterion never triggers
     seed                 : RNG seed for the uniform random start
     """
 
     d0_override: float | None = None
     d_max_override: float | None = None
-    binary_tol_low: float = 0.001
-    binary_tol_high: tuple[float, float] = (0.999, 1.001)
+    binary_tol: float = 1e-3
     max_outer_iterations: int = 10_000
     seed: int = 0
 
@@ -91,6 +90,10 @@ class SolverConfig:
             x = getattr(self, name)
             if x is not None and not 0.0 < x < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {x}")
+        # a band reaching 0.5 would count as 0 a coordinate that round_phi
+        # rounds to 1; nan fails the test
+        if not 0.0 < self.binary_tol < 0.5:
+            raise ValueError(f"binary_tol must lie in (0, 0.5), got {self.binary_tol}")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
 
@@ -358,15 +361,14 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
 
 
 def _is_binary(u: np.ndarray, cfg: SolverConfig) -> bool:
-    lo = cfg.binary_tol_low
-    hi_lo, hi_hi = cfg.binary_tol_high
+    tol = cfg.binary_tol
     # a coordinate strictly between the bands settles most iterates
-    if np.count_nonzero((u > lo) & (u < hi_lo)):
+    if np.count_nonzero((u > tol) & (u < 1.0 - tol)):
         return False
-    high = (u >= hi_lo) & (u <= hi_hi)
+    high = (u >= 1.0 - tol) & (u <= 1.0 + tol)
     # the all-zero iterate also has every coordinate in a band, but its
     # rounding is the empty set; insist on at least one coordinate near 1
-    return bool(np.all((u <= lo) | high) and high.any())
+    return bool(np.all((u <= tol) | high) and high.any())
 
 
 def solve(

@@ -166,17 +166,17 @@ def plain_replicator_step(g, u, eta: float = 1.0):
     return m if eta == 1.0 else m ** (1.0 / eta)
 
 
-def plain_baseline_loop(g, kind: str, cfg):
+def plain_baseline_loop(g, kind: str, eta: float, tol: float, max_iterations: int):
     """run_baseline's loop over plain_replicator_step:
     (weights, iterations, converged)."""
     if kind == "pelillo":
         u, eta = np.full(g.n, 1.0 / g.n), 1.0
     else:
-        u, eta = np.full(g.n, g.n ** (-1.0 / cfg.eta)), cfg.eta
-    for it in range(1, cfg.max_iterations + 1):
+        u = np.full(g.n, g.n ** (-1.0 / eta))
+    for it in range(1, max_iterations + 1):
         u_next = plain_replicator_step(g, u, eta)
         delta = u_next - u
         u = u_next
-        if float(delta @ delta) < cfg.tol:
+        if float(delta @ delta) < tol:
             return u, it, True
-    return u, cfg.max_iterations, False
+    return u, max_iterations, False

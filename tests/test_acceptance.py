@@ -88,11 +88,7 @@ class CorpusScan:
     elapsed: float = 0.0
 
 
-_POLISH = dict(
-    binary_tol_low=1e-12,
-    binary_tol_high=(1.0 - 1e-12, 1.0 + 1e-12),
-    max_outer_iterations=150,
-)
+_POLISH = dict(binary_tol=1e-12, max_outer_iterations=150)
 
 
 @pytest.fixture(scope="module")

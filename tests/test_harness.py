@@ -9,6 +9,7 @@ import pytest
 from rankclique import (
     BenchRecord,
     CoordinateFormatError,
+    EdgelessGraphError,
     cmd_bench_dimacs,
     cmd_bench_random,
     cmd_ingest_text,
@@ -226,7 +227,7 @@ class TestCmdVerify:
         assert checks["nonadjacent_weight_bound"].passed
 
     def test_edgeless_rejected(self, empty4):
-        with pytest.raises(ValueError, match="at least one edge"):
+        with pytest.raises(EdgelessGraphError, match="at least one edge"):
             cmd_verify(empty4, "empty")
 
 
@@ -340,3 +341,24 @@ class TestCli:
     def test_unknown_algo_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench-random", "--algos", "magic"])
+
+    # each of these used to run nothing and exit 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench-random", "--algos", ""],
+            ["bench-random", "--densities", ""],
+            ["bench-random", "--trials", "0"],
+            ["bench-dimacs", ".", "--restarts", "0"],
+            ["solve", "--random", "n=10,density=0.5", "--restarts", "0"],
+            ["verify", "--random", "n=10,density=0.5", "--seeds", "0"],
+            ["ingest-text", "toy.txt", "--p", ""],
+        ],
+        ids=["algos", "densities", "trials", "bench-restarts", "restarts", "seeds", "p"],
+    )
+    def test_empty_list_or_zero_count_rejected_by_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "non-empty" in err or "at least 1" in err

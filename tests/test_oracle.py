@@ -5,12 +5,11 @@ import pytest
 from rankclique import (
     CliqueSet,
     OracleLimitError,
-    OracleLimits,
     enumerate_maximal_cliques,
     graph_from_edge_list,
     maximum_clique_exact,
 )
-from rankclique.oracle import motzkin_straus_value
+from rankclique import oracle
 from conftest import small_random_graphs
 from oracles import dense_adjacency, exhaustive_maximal_cliques
 
@@ -77,12 +76,13 @@ class TestMaximumClique:
 
 
 class TestLimits:
-    def test_vertex_limit(self):
+    def test_vertex_limit(self, monkeypatch):
         g = graph_from_edge_list(5, [(0, 1)])
+        monkeypatch.setattr(oracle, "MAX_ORACLE_VERTICES", 4)
         with pytest.raises(OracleLimitError, match="smaller instance"):
-            enumerate_maximal_cliques(g, OracleLimits(max_vertices=4))
+            enumerate_maximal_cliques(g)
 
-    def test_clique_count_limit(self):
+    def test_clique_count_limit(self, monkeypatch):
         # complete 3-partite graph with parts {0,1,2} etc has 27 maximal cliques
         edges = [
             (i, j)
@@ -92,18 +92,7 @@ class TestLimits:
         ]
         g = graph_from_edge_list(9, edges)
         assert len(enumerate_maximal_cliques(g)) == 27
+        monkeypatch.setattr(oracle, "MAX_REPORTED_CLIQUES", 10)
         with pytest.raises(OracleLimitError, match="smaller instance"):
-            enumerate_maximal_cliques(g, OracleLimits(max_reported_cliques=10))
+            enumerate_maximal_cliques(g)
 
-
-class TestMotzkinStraus:
-    def test_frozen_values(self, k2, k3):
-        assert motzkin_straus_value(k3) == pytest.approx(2.0 / 3.0)
-        assert motzkin_straus_value(k2) == pytest.approx(0.5)
-
-    def test_edgeless_has_value_zero(self, empty4):
-        assert motzkin_straus_value(empty4) == 0.0
-
-    def test_requires_a_vertex(self):
-        with pytest.raises(ValueError, match="at least one vertex"):
-            motzkin_straus_value(graph_from_edge_list(0, []))

@@ -400,6 +400,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="d_max_override"):
             SolverConfig(d_max_override=cap)
 
+    # a band reaching 0.5 would count as 0 what round_phi rounds to 1; an
+    # empty band would never let a run converge
+    @pytest.mark.parametrize("tol", [0.0, 0.5, -1.0, math.nan, math.inf])
+    def test_binary_tol_must_lie_below_one_half(self, tol):
+        with pytest.raises(ValueError, match="binary_tol"):
+            SolverConfig(binary_tol=tol)
+
 
 class TestSolve:
     def test_triangle(self, k3):
