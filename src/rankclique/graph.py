@@ -8,8 +8,9 @@ bitmap when that takes no more bytes than a sort's two key arrays (n² at
 most 8 bytes per pair), else sorted once.  One helper (_structure) turns
 the ascending keys into the CSR arrays, for these graphs, for random
 graphs (whose draws are written straight into a bitmap's upper
-triangle) and for the non-edges that adj_matvec may store.  The DIMACS reader
-and the coordinate-matrix reader share one line tokenizer (_records),
+triangle) and for the non-edges that adj_matvec may store.  Co-occurrence
+graphs are read straight off the sorted CSR arrays of X X^T.  The DIMACS
+reader and the coordinate-matrix reader share one line tokenizer (_records),
 which reports malformed lines by line number, a non-ASCII character
 outside a comment line included.  Files are read as bytes, so a comment
 line in a file may hold any bytes.  DIMACS files use 1-based vertex
@@ -219,12 +220,23 @@ def _complement_structure(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return _structure(n, np.flatnonzero(mask))
 
 
+# _structure reduces the keys mod n this many at a time.  numpy divides
+# int64 by a scalar through libdivide in floor_divide but not in
+# remainder; a block's quotient stays in cache, where one whole-array
+# quotient would cost more than remainder saves.
+_REMAINDER_BLOCK = 1 << 14
+
+
 def _structure(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """indptr and indices, read-only int64, of the n x n 0/1 matrix whose
     ones sit at the ascending distinct flat positions keys = v*n + w, as
     np.flatnonzero reads them off a bitmap.  keys becomes the indices."""
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    np.remainder(keys, n, out=keys)
+    for lo in range(0, len(keys), _REMAINDER_BLOCK):
+        block = keys[lo:lo + _REMAINDER_BLOCK]
+        q = block // n
+        q *= n
+        block -= q
     indptr.setflags(write=False)
     keys.setflags(write=False)
     return indptr, keys
@@ -475,10 +487,11 @@ def _standard_fields(
 def _standard_dimacs(data: bytes) -> tuple[int, int, np.ndarray] | None:
     """(n, declared m, 0-based pairs) if data is in the standard layout, else None.
 
-    The standard layout is the one serialize_dimacs writes: the header
-    above, then only `e <digits> <digits>` lines, single spaces, each
-    ending in LF or CRLF, every endpoint in 1..n.  For such data the
-    answer is what _dimacs_lines returns.
+    The standard layout is the header above (comment lines, then the
+    problem line), then only `e <digits> <digits>` lines, single spaces,
+    each ending in LF or CRLF, every endpoint in 1..n.  serialize_dimacs
+    writes text in this layout, with no comment lines and LF ends.  For
+    such data the answer is what _dimacs_lines returns.
     """
     scanned = _standard_fields(data, _DIMACS_HEADER, b"e ", 2)
     if scanned is None:
@@ -538,10 +551,34 @@ def read_dimacs(path: str | Path) -> Graph:
 
 def serialize_dimacs(g: Graph) -> str:
     """Render a graph in DIMACS clique format (1-based, u < v, sorted)."""
-    # one %-format over the whole body: about twice as fast as one
-    # format call per edge
-    labels = g.edges() + 1
-    return f"p edge {g.n} {g.edge_count}\n" + ("e %d %d\n" * len(labels)) % tuple(labels.ravel().tolist())
+    # every edge line is first laid out at the full label width w as
+    # "e " u " " v "\n", each label right-aligned in its field behind NUL
+    # bytes, and one translate then deletes the NULs
+    head = f"p edge {g.n} {g.edge_count}\n".encode("ascii")
+    w = len(str(g.n))
+    out = np.empty(len(head) + g.edge_count * (2 * w + 4), dtype=np.uint8)
+    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    lines = out[len(head):].reshape(g.edge_count, 2 * w + 4)
+    lines[:, 0] = ord("e")
+    lines[:, 1] = lines[:, w + 2] = ord(" ")
+    lines[:, -1] = ord("\n")
+    # a label is one w-byte record, so each field is filled by one gather
+    labels = _label_digits(g.n, w).view(f"V{w}")[:, 0]
+    edges = g.edges()
+    for field, ends in ((lines[:, 2:w + 2], edges[:, 0]), (lines[:, w + 3:-1], edges[:, 1])):
+        field.view(f"V{w}")[:, 0] = labels[ends]
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _label_digits(n: int, w: int) -> np.ndarray:
+    """(n, w) uint8 table whose row v holds the ASCII digits of the label
+    v + 1, right-aligned, with NUL bytes before them."""
+    table = np.empty((n, w), dtype=np.uint8)
+    rest = np.arange(1, n + 1, dtype=np.int64)
+    for col in range(w - 1, -1, -1):
+        table[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+        rest //= 10
+    return table
 
 
 def random_graph(n: int, density: float, seed: int) -> Graph:
@@ -672,21 +709,48 @@ def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, n
     return (n_rows, n_cols), rows_0, cols_0, np.asarray(vals, dtype=np.float64)
 
 
-def _shared_term_counts(doc_term_text: str | bytes) -> sp.coo_matrix:
-    # X X^T of the binarized doc-term matrix X: entry (i, j) counts the
-    # distinct words documents i and j share
+def _least_threshold(p_values: list[int]) -> int:
+    """The smallest of the co-occurrence thresholds p_values; ValueError
+    for an empty list or a threshold below 1."""
+    if not p_values:
+        raise ValueError("at least one co-occurrence threshold is needed")
+    p_min = min(p_values)
+    if p_min < 1:
+        raise ValueError(f"co-occurrence threshold must be >= 1, got {p_min}")
+    return p_min
+
+
+def _shared_term_counts(
+    doc_term_text: str | bytes, p_min: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, indptr, indices, counts) of the off-diagonal entries of at
+    least p_min in X X^T, X the binarized doc-term matrix: entry (i, j)
+    counts the distinct words documents i and j share.  Each row's
+    columns are ascending; indptr and indices are int64."""
     x = parse_coordinate_matrix(doc_term_text)
     # tocsr has summed repeated (row, col) entries
     x.data = (x.data != 0).astype(np.float64)
-    return (x @ x.T).tocoo()
+    shared = x @ x.T
+    n = shared.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(shared.indptr))
+    shared.data[(shared.data < p_min) | (shared.indices == rows)] = 0.0
+    shared.eliminate_zeros()
+    # X X^T stays symmetric, so its CSC arrays are its CSR arrays with
+    # each row's columns sorted, in one linear pass
+    shared = shared.tocsc()
+    return n, shared.indptr.astype(np.int64), shared.indices.astype(np.int64), shared.data
 
 
-def _cooccurrence_from_counts(shared: sp.coo_matrix, p: int) -> Graph:
-    if p < 1:
-        raise ValueError(f"co-occurrence threshold must be >= 1, got {p}")
-    keep = (shared.row < shared.col) & (shared.data >= p)
-    pairs = np.column_stack([shared.row[keep], shared.col[keep]]).astype(np.int64)
-    return _graph_from_pairs(shared.shape[0], pairs)
+def _cooccurrence_from_counts(counts: tuple[int, np.ndarray, np.ndarray, np.ndarray], p: int) -> Graph:
+    """The graph joining the documents that share at least p words, read
+    off counts that _shared_term_counts formed at a p_min <= p."""
+    n, indptr, indices, shared = counts
+    kept = np.flatnonzero(shared >= p)
+    indices = indices.take(kept)
+    indptr = np.searchsorted(kept, indptr)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return Graph(n=n, indptr=indptr, indices=indices, edge_count=len(indices) // 2)
 
 
 def cooccurrence_graph(doc_term_text: str | bytes, p: int) -> Graph:
@@ -696,7 +760,7 @@ def cooccurrence_graph(doc_term_text: str | bytes, p: int) -> Graph:
     two distinct documents are joined by an edge when they share at
     least p words.  p must be >= 1.
     """
-    return _cooccurrence_from_counts(_shared_term_counts(doc_term_text), p)
+    return _cooccurrence_from_counts(_shared_term_counts(doc_term_text, _least_threshold([p])), p)
 
 
 @dataclass(frozen=True)

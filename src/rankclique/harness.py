@@ -30,6 +30,7 @@ from .graph import (
     EdgelessGraphError,
     Graph,
     _cooccurrence_from_counts,
+    _least_threshold,
     _shared_term_counts,
     is_clique,
     is_maximal_clique,
@@ -204,8 +205,13 @@ def cmd_bench_random(
     """Random-graph sweep: one row per (density, trial, algorithm).
 
     Trial t of any density uses graph seed seed + t and the same value
-    as the solver seed, so reruns are bit-identical.
+    as the solver seed, so reruns are bit-identical.  No densities, or
+    trials below 1, raise ValueError.
     """
+    if not densities:
+        raise ValueError("at least one density is needed")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     records: list[BenchRecord] = []
     for density in densities:
         for t in range(trials):
@@ -269,8 +275,10 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
     """Check the theory-backed properties on one small instance.
 
     Needs the exact oracle, so the instance must respect its limits
-    and must have at least one edge.
+    and must have at least one edge; seeds must not be empty.
     """
+    if not seeds:
+        raise ValueError("verify needs at least one seed")
     if g.edge_count == 0:
         raise EdgelessGraphError("verify needs a graph with at least one edge")
     checks: list[VerifyCheck] = []
@@ -436,13 +444,16 @@ def cmd_ingest_text(
 
     Writes one <stem>_p<p>.clq per threshold into out_dir and reports
     sizes; two documents are adjacent when they share at least p words.
-    The file is parsed and the shared-word counts formed once; each
-    threshold then only filters them.
+    The file is parsed and the shared-word counts formed once, at the
+    smallest threshold; each threshold then only filters them.  An empty
+    p_values or a threshold below 1 raises ValueError before the file is
+    read or out_dir made.
     """
+    p_min = _least_threshold(p_values)
     coord_path = Path(coord_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shared = _shared_term_counts(coord_path.read_bytes())
+    shared = _shared_term_counts(coord_path.read_bytes(), p_min)
     results: list[IngestResult] = []
     for p in p_values:
         g = _cooccurrence_from_counts(shared, p)

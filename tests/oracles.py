@@ -98,6 +98,20 @@ def random_graph_reference(n: int, density: float, seed: int) -> tuple[np.ndarra
     return graph_arrays_reference(n, np.column_stack([iu[keep], ju[keep]]))
 
 
+def cooccurrence_reference(shape: tuple[int, int], entries, p: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(indptr, indices, edge_count) of the co-occurrence graph of the
+    1-based (doc, term, count) entries at threshold p: a dense count
+    matrix with repeated cells summed, binarized, multiplied by its
+    transpose, and compared with p off the diagonal."""
+    x = np.zeros(shape)
+    for doc, term, count in entries:
+        x[doc - 1, term - 1] += count
+    present = (x != 0).astype(np.int64)
+    joined = present @ present.T >= p
+    np.fill_diagonal(joined, False)
+    return graph_arrays_reference(shape[0], np.column_stack(np.nonzero(np.triu(joined))))
+
+
 def dimacs_text_reference(g) -> str:
     """DIMACS rendering with one formatted line per edge."""
     lines = [f"p edge {g.n} {g.edge_count}"]

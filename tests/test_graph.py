@@ -35,6 +35,7 @@ from rankclique import (
 )
 from conftest import small_random_graphs
 from oracles import (
+    cooccurrence_reference,
     dense_adjacency,
     dimacs_text_reference,
     exhaustive_maximal_cliques,
@@ -413,6 +414,22 @@ class TestDimacs:
         assert serialize_dimacs(graph_from_edge_list(5, [])) == "p edge 5 0\n"
         assert serialize_dimacs(graph_from_edge_list(0, [])) == "p edge 0 0\n"
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+    def test_serialize_at_every_label_width(self, n):
+        # labels of each width up to n's, with vertices 0 and n - 1
+        rng = np.random.default_rng(n)
+        g = graph_from_edge_list(n, np.concatenate([rng.integers(0, n, (3 * n, 2)), [[0, n - 1]]]))
+        text = serialize_dimacs(g)
+        assert text == dimacs_text_reference(g)
+        # written in the standard layout, which the vectorised pass reads
+        n_read, declared_m, pairs = graph_module._standard_dimacs(text.encode("ascii"))
+        assert (n_read, declared_m) == (n, g.edge_count)
+        assert np.array_equal(pairs, g.edges())
+
+    def test_serialize_at_hamming10_2_density(self):
+        g = random_graph(1024, 0.99, seed=3)
+        assert serialize_dimacs(g) == dimacs_text_reference(g)
+
     def test_odd_layouts_read_like_the_standard_one(self):
         for g in small_random_graphs(20, seed0=400):
             std = serialize_dimacs(g)
@@ -753,6 +770,26 @@ class TestCooccurrence:
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
             cooccurrence_graph(COORD_TOY, p=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dense_reference(self, seed):
+        shape, entries = doc_term_entries(40, 30, 300, seed)
+        # documents 37-40 hold no terms
+        entries = [e for e in entries if e[0] <= 36]
+        assert any(count == 0 for _, _, count in entries)
+        assert len({(doc, term) for doc, term, _ in entries}) < len(entries)
+        text = count_file(shape, entries)
+        # no two documents share more than the 30 terms
+        for p in (1, 2, 3, 4, 31):
+            g = cooccurrence_graph(text, p)
+            indptr, indices, edge_count = cooccurrence_reference(shape, entries, p)
+            assert g.edge_count == edge_count
+            assert np.array_equal(g.indptr, indptr)
+            assert np.array_equal(g.indices, indices)
+            for a in (g.indptr, g.indices):
+                assert a.dtype == np.int64
+                assert not a.flags.writeable
+        assert g.edge_count == 0
 
 
 def complete_minus_matching(k: int):

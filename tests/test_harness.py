@@ -29,7 +29,7 @@ from rankclique import harness
 from rankclique.baselines import pelillo_step
 from rankclique.harness import run_algorithm
 from rankclique.cli import main
-from test_graph import COORD_TOY, K3_DIMACS
+from test_graph import COORD_TOY, K3_DIMACS, count_file, doc_term_entries
 
 
 class TestRecords:
@@ -146,6 +146,15 @@ class TestCmdBenchRandom:
         records = cmd_bench_random(15, [0.4], trials=3, seed=0)
         assert all(r.valid for r in records)
 
+    def test_no_densities_rejected(self):
+        with pytest.raises(ValueError, match="at least one density"):
+            cmd_bench_random(10, [], trials=1, seed=0)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            cmd_bench_random(10, [0.5], trials=trials, seed=0)
+
 
 class TestCmdBenchDimacs:
     def test_rows_per_instance_algo_restart(self, k3, star5):
@@ -230,6 +239,10 @@ class TestCmdVerify:
         with pytest.raises(EdgelessGraphError, match="at least one edge"):
             cmd_verify(empty4, "empty")
 
+    def test_no_seeds_rejected(self, k3):
+        with pytest.raises(ValueError, match="at least one seed"):
+            cmd_verify(k3, "k3", seeds=())
+
 
 class TestCmdIngestText:
     def test_writes_one_graph_per_threshold(self, tmp_path):
@@ -243,6 +256,35 @@ class TestCmdIngestText:
         assert g.edges().tolist() == [[0, 1]]
         for r in results:
             assert r.path.read_text() == serialize_dimacs(cooccurrence_graph(COORD_TOY, r.p))
+
+    def test_any_threshold_order_gives_the_same_graphs(self, tmp_path, monkeypatch):
+        shape, entries = doc_term_entries(40, 30, 300, seed=5)
+        text = count_file(shape, entries)
+        coord = tmp_path / "docs.txt"
+        coord.write_text(text)
+        least = []
+        shared_term_counts = harness._shared_term_counts
+
+        def counted(data, p_min):
+            least.append(p_min)
+            return shared_term_counts(data, p_min)
+
+        monkeypatch.setattr(harness, "_shared_term_counts", counted)
+        for order in ([1, 2, 3, 5], [5, 3, 2, 1], [3, 5, 1, 2], [5, 3], [3]):
+            results = cmd_ingest_text(coord, order, tmp_path / "-".join(map(str, order)))
+            assert [r.p for r in results] == order
+            for r in results:
+                g = cooccurrence_graph(text, r.p)
+                assert (r.n, r.edge_count) == (g.n, g.edge_count)
+                assert r.path.read_text() == serialize_dimacs(g)
+        assert least == [1, 1, 1, 3, 3]
+
+    @pytest.mark.parametrize("p_values", [[], [0], [2, 0], [-1, 3]])
+    def test_bad_thresholds_rejected_before_any_io(self, tmp_path, p_values):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="threshold"):
+            cmd_ingest_text(tmp_path / "missing.txt", p_values, out)
+        assert not out.exists()
 
     def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):
         coord = tmp_path / "bad.txt"
