@@ -48,7 +48,6 @@ from .oracle import (
 )
 from .solver import (
     NumericalDivergenceError,
-    RoundingInvariantError,
     SolverConfig,
     SolverResult,
     d_max,
@@ -71,7 +70,6 @@ __all__ = [
     "IndependentSupportError",
     "NumericalDivergenceError",
     "OracleLimitError",
-    "RoundingInvariantError",
     "SolverConfig",
     "SolverResult",
     "VerifyReport",

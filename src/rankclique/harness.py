@@ -39,6 +39,7 @@ from .graph import (
 )
 from .oracle import enumerate_maximal_cliques, maximum_clique_exact
 from .solver import (
+    NumericalDivergenceError,
     SolverConfig,
     SolverResult,
     d_max,
@@ -205,9 +206,11 @@ def cmd_bench_random(
     """Random-graph sweep: one row per (density, trial, algorithm).
 
     Trial t of any density uses graph seed seed + t and the same value
-    as the solver seed, so reruns are bit-identical.  No densities, or
-    trials below 1, raise ValueError.
+    as the solver seed, so reruns are bit-identical.  No densities, no
+    algorithms, or trials below 1, raise ValueError.
     """
+    if not algos:
+        raise ValueError("at least one algorithm is needed")
     if not densities:
         raise ValueError("at least one density is needed")
     if trials < 1:
@@ -236,7 +239,10 @@ def cmd_bench_dimacs(
     dmax: float | None = None,
     maximalize: bool = False,
 ) -> list[BenchRecord]:
-    """Benchmark loaded instances: one row per (instance, algorithm, restart)."""
+    """Benchmark loaded instances: one row per (instance, algorithm,
+    restart).  No graphs, or no algorithms, raise ValueError."""
+    if not graphs or not algos:
+        raise ValueError("at least one graph and one algorithm are needed")
     records: list[BenchRecord] = []
     for name, g in graphs:
         for algo in algos:
@@ -301,14 +307,14 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
     )
 
     # converged solves must round to maximal cliques; one recorded solve
-    # per seed also feeds the weight bound below, and a seed that raises
-    # counts once, as a violation here
+    # per seed also feeds the weight bound below, and a seed whose solve
+    # diverges counts once, as a violation here
     bad = 0
     runs: list[SolverResult] = []
     for s in seeds:
         try:
             res = solve(g, SolverConfig(seed=s), record_iterates=True)
-        except Exception:
+        except NumericalDivergenceError:
             bad += 1
             continue
         runs.append(res)

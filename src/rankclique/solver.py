@@ -10,12 +10,12 @@ Minimizing ||M_d - u u^T||_F^2 over u >= 0 with a large enough penalty
 drives u toward the 0/1 indicator vector of a maximal clique, and the
 squared norm of the minimizer equals the clique size.  The solver runs
 projected gradient descent while growing d by the constant factor
-GAMMA each iteration up to a graph-dependent cap; iterates are declared
-converged once every coordinate is numerically binary.  In place of the
-paper's Armijo backtracking, each step is an exact line search along the
-projected chord, where the objective's change is a quartic in the step
-length, and the step size alpha follows where the minimizer fell (the
-constant BETA).
+GAMMA each iteration up to a graph-dependent cap; an iterate is declared
+converged once every coordinate is numerically binary and its rounding
+is a maximal clique.  In place of the paper's Armijo backtracking, each
+step is an exact line search along the projected chord, where the
+objective's change is a quartic in the step length, and the step size
+alpha follows where the minimizer fell (the constant BETA).
 
 M_d is never materialized: M_d u = (1 + d) (A u + u) - d * sum(u) needs
 one product A u from Graph.adj_matvec.  That is one pass over the
@@ -51,10 +51,6 @@ class NumericalDivergenceError(RuntimeError):
     def __init__(self, message: str, iterate: np.ndarray):
         self.iterate = iterate
         super().__init__(message)
-
-
-class RoundingInvariantError(RuntimeError):
-    """A converged iterate rounded to something other than a maximal clique."""
 
 
 # The penalty schedule: d <- min(GAMMA d, d_max) every iteration.  After
@@ -361,14 +357,10 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
 
 
 def _is_binary(u: np.ndarray, cfg: SolverConfig) -> bool:
+    # u >= 0, so every coordinate is in a band when none lies strictly
+    # between them and none lies above the upper one
     tol = cfg.binary_tol
-    # a coordinate strictly between the bands settles most iterates
-    if np.count_nonzero((u > tol) & (u < 1.0 - tol)):
-        return False
-    high = (u >= 1.0 - tol) & (u <= 1.0 + tol)
-    # the all-zero iterate also has every coordinate in a band, but its
-    # rounding is the empty set; insist on at least one coordinate near 1
-    return bool(np.all((u <= tol) | high) and high.any())
+    return not np.count_nonzero((u > tol) & (u < 1.0 - tol)) and float(u.max()) <= 1.0 + tol
 
 
 def solve(
@@ -381,15 +373,16 @@ def solve(
 
     Starts from u ~ Uniform(0, 1)^n with the balance penalty d0 and step
     alpha0 = 0.1 ||u0|| / ||grad(u0)||, then repeats
-    armijo_outer_iteration until every coordinate is numerically binary
-    (converged) or max_outer_iterations is hit.
+    armijo_outer_iteration until the run converges or
+    max_outer_iterations is hit.
 
-    The final iterate is rounded coordinatewise; a converged run must
-    round to a maximal clique, and RoundingInvariantError is raised
-    otherwise.  The binary-band stopping rule does not rule that out: an
-    iterate at a symmetric saddle next to a non-maximal clique can sit
-    inside the band (see README, Design notes).
-    Non-converged runs report the rounding as-is together with its
+    Converged means certified: at each iteration whose coordinates are
+    all numerically binary, the coordinatewise rounding is checked, and
+    the run stops when it is a maximal clique.  A rounding that is not
+    maximal, such as that of an iterate at a symmetric saddle next to a
+    non-maximal clique (see README, Design notes), does not stop it; a
+    run held there ends at max_outer_iterations.  Non-converged runs
+    report the final iterate's rounding as-is together with its
     validity flags.  The final iterate's stationarity residual is not
     taken here, which saves a pass: for a nonzero final iterate,
     stationarity_residual(g, d_max(g), result.u_final) gives it at the
@@ -417,26 +410,22 @@ def solve(
     trace: list[float] = []
     iterates: list[ArmijoStep] | None = [] if record_iterates else None
     converged = False
-    while state.iteration < cfg.max_outer_iterations:
+    while not converged and state.iteration < cfg.max_outer_iterations:
         state = armijo_outer_iteration(g, cfg, state)
         assert state.last_step is not None
         trace.append(state.last_step.f_new)
         if iterates is not None:
             iterates.append(replace(state.last_step, u=state.u.copy()))
         if _is_binary(state.u, cfg):
-            converged = True
-            break
+            clique = CliqueSet.from_indicator(round_phi(state.u))
+            converged = is_maximal_clique(g, clique.vertices)
 
-    u_final = state.u
-    clique = CliqueSet.from_indicator(round_phi(u_final))
-    maximal = is_maximal_clique(g, clique.vertices)
+    if not converged:
+        clique = CliqueSet.from_indicator(round_phi(state.u))
+    maximal = converged or is_maximal_clique(g, clique.vertices)
     valid = maximal or is_clique(g, clique.vertices)
-    if converged and not maximal:
-        raise RoundingInvariantError(
-            f"converged iterate rounds to {clique.vertices}, which is not a maximal clique"
-        )
     return SolverResult(
-        u_final=u_final,
+        u_final=state.u,
         clique=clique,
         converged=converged,
         iterations=state.iteration,

@@ -10,6 +10,7 @@ from rankclique import (
     BenchRecord,
     CoordinateFormatError,
     EdgelessGraphError,
+    NumericalDivergenceError,
     cmd_bench_dimacs,
     cmd_bench_random,
     cmd_ingest_text,
@@ -30,6 +31,10 @@ from rankclique.baselines import pelillo_step
 from rankclique.harness import run_algorithm
 from rankclique.cli import main
 from test_graph import COORD_TOY, K3_DIMACS, count_file, doc_term_entries
+
+
+def no_call(*args, **kwargs):
+    raise AssertionError("called before the arguments were checked")
 
 
 class TestRecords:
@@ -155,6 +160,11 @@ class TestCmdBenchRandom:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             cmd_bench_random(10, [0.5], trials=trials, seed=0)
 
+    def test_no_algorithms_rejected_before_any_graph(self, monkeypatch):
+        monkeypatch.setattr(harness, "random_graph", no_call)
+        with pytest.raises(ValueError, match="at least one algorithm"):
+            cmd_bench_random(10, [0.5], 1, 0, algos=())
+
 
 class TestCmdBenchDimacs:
     def test_rows_per_instance_algo_restart(self, k3, star5):
@@ -164,6 +174,15 @@ class TestCmdBenchDimacs:
         assert [(r.instance_name, r.seed) for r in records] == [
             ("k3", 10), ("k3", 11), ("star", 10), ("star", 11),
         ]
+
+    def test_no_algorithms_rejected_before_any_run(self, k3, monkeypatch):
+        monkeypatch.setattr(harness, "run_algorithm", no_call)
+        with pytest.raises(ValueError, match="one algorithm"):
+            cmd_bench_dimacs([("k3", k3)], algos=())
+
+    def test_no_graphs_rejected(self):
+        with pytest.raises(ValueError, match="at least one graph"):
+            cmd_bench_dimacs([])
 
 
 class TestCmdVerify:
@@ -224,7 +243,7 @@ class TestCmdVerify:
     def test_a_raising_seed_is_reported_once(self, monkeypatch):
         def failing_solve(g, cfg, **kw):
             if cfg.seed == 1:
-                raise RuntimeError("boom")
+                raise NumericalDivergenceError("boom", np.zeros(g.n))
             return solve(g, cfg, **kw)
 
         monkeypatch.setattr(harness, "solve", failing_solve)

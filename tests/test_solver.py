@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rankclique import (
     EdgelessGraphError,
@@ -435,6 +435,53 @@ class TestSolve:
         cfg = SolverConfig(seed=2, d0_override=0.5207556439232954)
         res = solve(random_graph(30, 0.2, 10363), cfg)
         assert res.converged and res.clique_maximal
+
+    def test_wide_band_converges_to_a_maximal_clique(self):
+        # the band holds first at the rounding (0, 1, 2), which vertex 5
+        # extends; the certificate fails there and the run goes on
+        res = solve(random_graph(10, 0.5, 3), SolverConfig(seed=1, binary_tol=0.3))
+        assert res.converged and res.clique_valid and res.clique_maximal
+        assert res.clique.vertices == (0, 1, 2, 5)
+        assert res.iterations == 9
+
+    def test_saddle_inside_the_band_ends_at_the_cap(self):
+        # the clique (5, 27) keeps a lockstep pair of non-adjacent
+        # extenders inside the band from iteration 2518 on: a symmetric
+        # saddle, whose rounding is a clique but not a maximal one
+        cfg = SolverConfig(seed=0, d0_override=100.0, max_outer_iterations=3000)
+        res = solve(random_graph(49, 0.2, 1), cfg)
+        assert not res.converged
+        assert res.iterations == 3000
+        assert res.clique.vertices == (5, 27)
+        assert res.clique_valid and not res.clique_maximal
+        outside = np.delete(res.u_final, res.clique.vertices)
+        assert np.count_nonzero(outside) == 2
+        assert outside.max() <= cfg.binary_tol
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(3, 14),
+        density=st.floats(0.1, 0.9),
+        graph_seed=st.integers(0, 10**6),
+        seed=st.integers(0, 10**6),
+        tol=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        d0_share=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_every_converged_run_is_a_maximal_clique(
+        self, n, density, graph_seed, seed, tol, d0_share
+    ):
+        g = random_graph(n, density, graph_seed)
+        assume(g.edge_count > 0)
+        cfg = SolverConfig(
+            seed=seed,
+            binary_tol=tol,
+            d0_override=d0_share * d_max(g),
+            max_outer_iterations=2000,
+        )
+        res = solve(g, cfg)
+        if res.converged:
+            assert res.clique_valid and res.clique_maximal
+            assert is_maximal_clique(g, res.clique.vertices)
 
     def test_deterministic(self, star5):
         r1 = solve(star5, SolverConfig(seed=3))
