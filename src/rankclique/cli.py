@@ -97,7 +97,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base seed; restart i uses seed+i")
     p.add_argument("--d0", type=float, default=None, help="starting penalty override")
-    p.add_argument("--dmax", type=float, default=None, help="penalty cap override")
     p.add_argument("--eta", type=float, default=None, help="annealing exponent for ding")
     p.add_argument(
         "--maximalize",
@@ -157,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
                 restarts=args.restarts,
                 seed=args.seed,
                 d0=args.d0,
-                dmax=args.dmax,
                 eta=args.eta,
                 maximalize=args.maximalize,
             )
@@ -181,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
                 algos=args.algos,
                 eta=args.eta,
                 d0=args.d0,
-                dmax=args.dmax,
                 maximalize=args.maximalize,
             )
             _emit_csv(records_to_csv(records), args.csv)
@@ -200,7 +197,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 eta=args.eta,
                 d0=args.d0,
-                dmax=args.dmax,
                 maximalize=args.maximalize,
             )
             _emit_csv(records_to_csv(records), args.csv)

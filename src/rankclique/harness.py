@@ -94,6 +94,12 @@ def records_to_csv(records: list[BenchRecord]) -> str:
     return buf.getvalue()
 
 
+def _check_algorithms(algos: tuple[str, ...]) -> None:
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
+
+
 def run_algorithm(
     g: Graph,
     instance_name: str,
@@ -101,7 +107,6 @@ def run_algorithm(
     seed: int,
     *,
     d0: float | None = None,
-    dmax: float | None = None,
     eta: float | None = None,
     maximalize: bool = False,
 ) -> tuple[BenchRecord, CliqueSet]:
@@ -114,12 +119,11 @@ def run_algorithm(
     (postprocessed or extended) is validated here; an r1nm clique as
     solve returned it keeps solve's flags.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
+    _check_algorithms((algo,))
     tag = algo
     t0 = time.perf_counter()
     if algo == "r1nm":
-        cfg = SolverConfig(seed=seed, d0_override=d0, d_max_override=dmax)
+        cfg = SolverConfig(seed=seed, d0_override=d0)
         result = solve(g, cfg)
         clique = result.clique
         iterations = result.iterations
@@ -163,7 +167,6 @@ def cmd_solve(
     seed: int = 0,
     *,
     d0: float | None = None,
-    dmax: float | None = None,
     eta: float | None = None,
     maximalize: bool = False,
 ) -> tuple[BenchRecord, CliqueSet, list[BenchRecord]]:
@@ -177,9 +180,7 @@ def cmd_solve(
     records: list[BenchRecord] = []
     cliques: list[CliqueSet] = []
     for i in range(restarts):
-        rec, cl = run_algorithm(
-            g, instance_name, algo, seed + i, d0=d0, dmax=dmax, eta=eta, maximalize=maximalize
-        )
+        rec, cl = run_algorithm(g, instance_name, algo, seed + i, d0=d0, eta=eta, maximalize=maximalize)
         records.append(rec)
         cliques.append(cl)
     best_i = 0
@@ -200,17 +201,18 @@ def cmd_bench_random(
     algos: tuple[str, ...] = ALGORITHMS,
     eta: float | None = None,
     d0: float | None = None,
-    dmax: float | None = None,
     maximalize: bool = False,
 ) -> list[BenchRecord]:
     """Random-graph sweep: one row per (density, trial, algorithm).
 
     Trial t of any density uses graph seed seed + t and the same value
     as the solver seed, so reruns are bit-identical.  No densities, no
-    algorithms, or trials below 1, raise ValueError.
+    algorithms, an unknown algorithm, or trials below 1, raise ValueError
+    before any graph is generated.
     """
     if not algos:
         raise ValueError("at least one algorithm is needed")
+    _check_algorithms(algos)
     if not densities:
         raise ValueError("at least one density is needed")
     if trials < 1:
@@ -221,9 +223,7 @@ def cmd_bench_random(
             g = random_graph(n, density, seed + t)
             name = f"random_n{n}_p{density:g}_t{t}"
             for algo in algos:
-                rec, _ = run_algorithm(
-                    g, name, algo, seed + t, d0=d0, dmax=dmax, eta=eta, maximalize=maximalize
-                )
+                rec, _ = run_algorithm(g, name, algo, seed + t, d0=d0, eta=eta, maximalize=maximalize)
                 records.append(rec)
     return records
 
@@ -236,19 +236,18 @@ def cmd_bench_dimacs(
     seed: int = 0,
     eta: float | None = None,
     d0: float | None = None,
-    dmax: float | None = None,
     maximalize: bool = False,
 ) -> list[BenchRecord]:
     """Benchmark loaded instances: one row per (instance, algorithm,
-    restart).  No graphs, or no algorithms, raise ValueError."""
+    restart).  No graphs, no algorithms, or an unknown algorithm, raise
+    ValueError before any run."""
     if not graphs or not algos:
         raise ValueError("at least one graph and one algorithm are needed")
+    _check_algorithms(algos)
     records: list[BenchRecord] = []
     for name, g in graphs:
         for algo in algos:
-            records += cmd_solve(
-                g, name, algo, restarts, seed, d0=d0, dmax=dmax, eta=eta, maximalize=maximalize
-            )[2]
+            records += cmd_solve(g, name, algo, restarts, seed, d0=d0, eta=eta, maximalize=maximalize)[2]
     return records
 
 

@@ -63,11 +63,12 @@ BETA = 0.5
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs for the projected gradient solver.  The penalty's
-    growth factor and the step-size rule are the constants GAMMA and BETA.
+    growth factor and the step-size rule are the constants GAMMA and BETA;
+    its cap is always d_max(g) = 2 n ||B||_F, where every local minimizer
+    rounds to a maximal clique.
 
     d0_override          : starting penalty, finite and positive
-                           (default: Frobenius-balance value)
-    d_max_override       : penalty cap, finite and positive (default: 2 n ||B||_F)
+                           (default: Frobenius-balance value), clamped to d_max
     binary_tol           : width of the binary bands, in (0, 0.5): a coordinate
                            counts as 0 in [0, tol] and as 1 in [1 - tol, 1 + tol]
     max_outer_iterations : hard stop when the binary criterion never triggers
@@ -75,17 +76,15 @@ class SolverConfig:
     """
 
     d0_override: float | None = None
-    d_max_override: float | None = None
     binary_tol: float = 1e-3
     max_outer_iterations: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         # a zero start would stay zero under d <- GAMMA d; nan fails the test
-        for name in ("d0_override", "d_max_override"):
-            x = getattr(self, name)
-            if x is not None and not 0.0 < x < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {x}")
+        d0 = self.d0_override
+        if d0 is not None and not 0.0 < d0 < math.inf:
+            raise ValueError(f"d0_override must be finite and positive, got {d0}")
         # a band reaching 0.5 would count as 0 a coordinate that round_phi
         # rounds to 1; nan fails the test
         if not 0.0 < self.binary_tol < 0.5:
@@ -158,10 +157,6 @@ def d_max(g: Graph) -> float:
     """Penalty cap 2 n ||B||_F = 2 n sqrt(n + 2 |E|); at this value every
     local minimizer rounds to a maximal clique indicator."""
     return 2.0 * g.n * math.sqrt(_nnz_b(g))
-
-
-def _effective_d_max(g: Graph, cfg: SolverConfig) -> float:
-    return cfg.d_max_override if cfg.d_max_override is not None else d_max(g)
 
 
 def md_norm_sq(g: Graph, d: float) -> float:
@@ -291,10 +286,10 @@ def _chord_minimizer(q1: float, q2: float, q3: float, q4: float) -> float:
     return min([(0.0, 0.0)] + [(_quartic(t, q1, q2, q3, q4), t) for t in ts if 0.0 < t <= 1.0])[1]
 
 
-def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> SolverState:
+def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     """One outer iteration: an exact line search along the projected
     chord p = [u - alpha g]_+ - u at the current penalty, then
-    d <- min(GAMMA d, d_max).
+    d <- min(GAMMA d, d_max(g)).
 
     f(u + t p) - f(u) = q1 t + q2 t^2 + q3 t^3 + q4 t^4 comes from one
     pass A p and a few scalars, so it sees decreases far below one ulp of
@@ -307,7 +302,6 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     au = state.au
     d = float(state.d)
     alpha = alpha_used = float(state.alpha)
-    cap = _effective_d_max(g, cfg)
 
     f_old, grad, uu, su = _objective_and_gradient(d, u, au)
     if not (math.isfinite(f_old) and np.count_nonzero(np.isfinite(grad)) == len(grad)):
@@ -349,7 +343,7 @@ def armijo_outer_iteration(g: Graph, cfg: SolverConfig, state: SolverState) -> S
     return SolverState(
         u=u_new,
         au=au_new,
-        d=min(GAMMA * d, cap),
+        d=min(GAMMA * d, d_max(g)),
         alpha=alpha,
         iteration=state.iteration + 1,
         last_step=step,
@@ -371,22 +365,24 @@ def solve(
 ) -> SolverResult:
     """Run the penalized rank-one solver from a seeded random start.
 
-    Starts from u ~ Uniform(0, 1)^n with the balance penalty d0 and step
+    Starts from u ~ Uniform(0, 1)^n with the balance penalty d0 (or
+    d0_override), clamped to d_max(g), and step
     alpha0 = 0.1 ||u0|| / ||grad(u0)||, then repeats
     armijo_outer_iteration until the run converges or
     max_outer_iterations is hit.
 
     Converged means certified: at each iteration whose coordinates are
-    all numerically binary, the coordinatewise rounding is checked, and
-    the run stops when it is a maximal clique.  A rounding that is not
-    maximal, such as that of an iterate at a symmetric saddle next to a
-    non-maximal clique (see README, Design notes), does not stop it; a
-    run held there ends at max_outer_iterations.  Non-converged runs
+    all numerically binary, the coordinatewise rounding is checked
+    unless it equals the last rounding checked, and the run stops when
+    it is a maximal clique.  A rounding that is not maximal, such as
+    that of an iterate at a symmetric saddle next to a non-maximal
+    clique (see README, Design notes), does not stop it; a run held
+    there ends at max_outer_iterations.  Non-converged runs
     report the final iterate's rounding as-is together with its
     validity flags.  The final iterate's stationarity residual is not
     taken here, which saves a pass: for a nonzero final iterate,
     stationarity_residual(g, d_max(g), result.u_final) gives it at the
-    default penalty cap.
+    penalty cap.
 
     Raises EdgelessGraphError when the graph has no edges: every
     maximal clique is a singleton and the penalized problem is trivial.
@@ -397,9 +393,8 @@ def solve(
 
     rng = np.random.default_rng(cfg.seed)
     u0 = rng.random(g.n)
-    cap = _effective_d_max(g, cfg)
     d0 = cfg.d0_override if cfg.d0_override is not None else default_d0(g)
-    d0 = min(float(d0), cap)
+    d0 = min(float(d0), d_max(g))
 
     au0 = g.adj_matvec(u0)
     grad0 = _objective_and_gradient(d0, u0, au0)[1]
@@ -410,15 +405,18 @@ def solve(
     trace: list[float] = []
     iterates: list[ArmijoStep] | None = [] if record_iterates else None
     converged = False
+    checked = None  # the last rounding checked; it was not maximal
     while not converged and state.iteration < cfg.max_outer_iterations:
-        state = armijo_outer_iteration(g, cfg, state)
+        state = armijo_outer_iteration(g, state)
         assert state.last_step is not None
         trace.append(state.last_step.f_new)
         if iterates is not None:
             iterates.append(replace(state.last_step, u=state.u.copy()))
         if _is_binary(state.u, cfg):
             clique = CliqueSet.from_indicator(round_phi(state.u))
-            converged = is_maximal_clique(g, clique.vertices)
+            if clique != checked:
+                checked = clique
+                converged = is_maximal_clique(g, clique.vertices)
 
     if not converged:
         clique = CliqueSet.from_indicator(round_phi(state.u))

@@ -143,14 +143,13 @@ def chord_quartic_dense(md: np.ndarray, u: np.ndarray, p: np.ndarray) -> tuple[f
     )
 
 
-def plain_chord_step(g, cfg, u, au, d, alpha):
+def plain_chord_step(g, u, au, d, alpha):
     """One solver iteration as plain array formulas, each building a new
     array: (u, A u, d, alpha, f_new) after the step.  It makes the same
     pass (g.adj_matvec) and line search (solver._chord_minimizer) as the
     library's step, so the two must agree bit for bit."""
     from rankclique.solver import BETA, GAMMA, _chord_minimizer, _quartic, d_max
 
-    cap = cfg.d_max_override if cfg.d_max_override is not None else d_max(g)
     mdu = (1.0 + d) * (au + u) - d * float(u.sum())
     nrm2 = float(u @ u)
     f_old = 0.5 * nrm2 * nrm2 - float(u @ mdu)
@@ -168,7 +167,7 @@ def plain_chord_step(g, cfg, u, au, d, alpha):
     else:
         u_new = np.maximum(u + t * p, 0.0)
         alpha_new = alpha * (max(t, BETA) if pp > 0.0 else 1.0)
-    return u_new, au + t * ap, min(GAMMA * d, cap), alpha_new, f_old + _quartic(t, *q)
+    return u_new, au + t * ap, min(GAMMA * d, d_max(g)), alpha_new, f_old + _quartic(t, *q)
 
 
 def plain_replicator_step(g, u, eta: float = 1.0):

@@ -4,6 +4,7 @@ not only in the benchmark's own tests."""
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -15,6 +16,7 @@ import pytest
 
 import rankclique
 from rankclique import Graph, SolverConfig, baselines, oracle
+from rankclique.cli import build_parser
 from rankclique.solver import SolverState, armijo_outer_iteration
 
 PUBLIC = set(
@@ -62,10 +64,21 @@ def test_readme_names_every_public_name():
     assert PUBLIC <= named, sorted(PUBLIC - named)
 
 
+def test_readme_cli_flags_are_parser_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("## CLI")
+    section = readme[start : readme.index("\n## ", start)]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert "--d0" in named
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sub in commands.choices.values() for opt in sub._option_string_actions}
+    assert named <= options, sorted(named - options)
+
+
 def test_settings_are_the_pinned_ones():
     # a new setting fails here, as a new export fails above
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "d0_override", "d_max_override", "binary_tol", "max_outer_iterations", "seed"
+        "d0_override", "binary_tol", "max_outer_iterations", "seed"
     ]
     assert (baselines.ETA, baselines.TOL, baselines.MAX_ITERATIONS) == (1.05, 1e-10, 100_000)
     assert (oracle.MAX_ORACLE_VERTICES, oracle.MAX_REPORTED_CLIQUES) == (64, 1_000_000)
@@ -98,6 +111,6 @@ def test_traced_functions_resolve():
 def test_traced_step_reports_trials_and_acceptance(k3):
     u = np.full(3, 0.5)
     state = SolverState(u=u, au=k3.adj_matvec(u), d=1.0, alpha=0.1)
-    step = armijo_outer_iteration(k3, SolverConfig(), state).last_step
+    step = armijo_outer_iteration(k3, state).last_step
     assert step.trials == 1
     assert step.accepted is True

@@ -165,6 +165,11 @@ class TestCmdBenchRandom:
         with pytest.raises(ValueError, match="at least one algorithm"):
             cmd_bench_random(10, [0.5], 1, 0, algos=())
 
+    def test_unknown_algorithm_rejected_before_any_graph(self, monkeypatch):
+        monkeypatch.setattr(harness, "random_graph", no_call)
+        with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+            cmd_bench_random(10, [0.5], 1, 0, algos=("r1nm", "ding", "magic"))
+
 
 class TestCmdBenchDimacs:
     def test_rows_per_instance_algo_restart(self, k3, star5):
@@ -179,6 +184,11 @@ class TestCmdBenchDimacs:
         monkeypatch.setattr(harness, "run_algorithm", no_call)
         with pytest.raises(ValueError, match="one algorithm"):
             cmd_bench_dimacs([("k3", k3)], algos=())
+
+    def test_unknown_algorithm_rejected_before_any_run(self, k3, monkeypatch):
+        monkeypatch.setattr(harness, "run_algorithm", no_call)
+        with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+            cmd_bench_dimacs([("k3", k3)], algos=("r1nm", "magic"))
 
     def test_no_graphs_rejected(self):
         with pytest.raises(ValueError, match="at least one graph"):
@@ -351,10 +361,6 @@ class TestCli:
     def test_bad_random_spec_exits_nonzero(self, capsys):
         assert main(["solve", "--random", "n=10,rho=0.5"]) == 1
         assert "unknown --random fields" in capsys.readouterr().err
-
-    def test_bad_penalty_cap_exits_nonzero(self, capsys):
-        assert main(["solve", "--random", "n=30,density=0.5,seed=1", "--dmax", "nan"]) == 1
-        assert "d_max_override" in capsys.readouterr().err
 
     def test_bench_random(self, tmp_path):
         out = tmp_path / "bench.csv"
