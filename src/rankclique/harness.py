@@ -37,7 +37,7 @@ from .graph import (
     random_graph,
     serialize_dimacs,
 )
-from .oracle import enumerate_maximal_cliques, maximum_clique_exact
+from .oracle import enumerate_maximal_cliques
 from .solver import (
     NumericalDivergenceError,
     SolverConfig,
@@ -183,12 +183,8 @@ def cmd_solve(
         rec, cl = run_algorithm(g, instance_name, algo, seed + i, d0=d0, eta=eta, maximalize=maximalize)
         records.append(rec)
         cliques.append(cl)
-    best_i = 0
-    for i, rec in enumerate(records[1:], start=1):
-        best = records[best_i]
-        better = rec.valid if rec.valid != best.valid else rec.clique_size > best.clique_size
-        if better:
-            best_i = i
+    # max keeps the first of equal keys, so ties go to the earliest seed
+    best_i = max(range(restarts), key=lambda i: (records[i].valid, records[i].clique_size))
     return records[best_i], cliques[best_i], records
 
 
@@ -268,14 +264,6 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _dense_md(g: Graph, d: float) -> np.ndarray:
-    # deliberately a second, dense route to M_d for cross-checking
-    b = np.eye(g.n)
-    for v in range(g.n):
-        b[v, g.neighbors(v)] = 1.0
-    return np.where(b > 0, 1.0, -d)
-
-
 def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 2)) -> VerifyReport:
     """Check the theory-backed properties on one small instance.
 
@@ -288,15 +276,30 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         raise EdgelessGraphError("verify needs a graph with at least one edge")
     checks: list[VerifyCheck] = []
     maximal_cliques = enumerate_maximal_cliques(g)
-    omega = maximum_clique_exact(g).size
-    cap = d_max(g)
+    omega = max(c.size for c in maximal_cliques)
+    # B = A + I, dense and built from the neighbour lists: deliberately a
+    # second route to M_d for cross-checking, independent of adj_matvec
+    b = np.eye(g.n, dtype=bool)
+    for v in range(g.n):
+        b[v, g.neighbors(v)] = True
+    penalties = [(d, np.where(b, 1.0, -d)) for d in (float(g.n), d_max(g))]
 
-    # stationarity of maximal-clique indicators at both test penalties
-    worst = 0.0
+    # one walk over the maximal cliques at both test penalties feeds two
+    # checks: the indicator is stationary, and lifting the normalized
+    # indicator reproduces it with the rank-one error identity holding
+    # against the dense M_d
+    worst = ident_worst = 0.0
     for c in maximal_cliques:
         u = c.indicator(g.n)
-        for d in (float(g.n), cap):
+        v = u / np.linalg.norm(u)
+        for d, md in penalties:
             worst = max(worst, stationarity_residual(g, d, u))
+            lifted = lift_ball_point(g, d, v)
+            ident_worst = max(ident_worst, float(np.abs(lifted - u).max()))
+            q = float(v @ md @ v)
+            lhs = float(np.linalg.norm(md - np.outer(lifted, lifted), "fro") ** 2)
+            rhs = md_norm_sq(g, d) - q * q
+            ident_worst = max(ident_worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     checks.append(
         VerifyCheck(
             "maximal_clique_stationarity",
@@ -353,10 +356,7 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
 
     # non-adjacent active pairs of near-stationary iterates must carry
     # small weight: u_j < ||u||_1 / (d + 1)
-    nonadj = np.ones((g.n, g.n), dtype=bool)
-    np.fill_diagonal(nonadj, False)
-    for v in range(g.n):
-        nonadj[v, g.neighbors(v)] = False
+    nonadj = ~b
     weight_bound_bad = 0
     weight_bound_hits = 0
     for res in runs:
@@ -409,20 +409,7 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         )
     )
 
-    # lifting a normalized clique indicator reproduces it, and the
-    # rank-one error identity holds against the dense matrix
-    ident_worst = 0.0
-    for c in maximal_cliques:
-        u = c.indicator(g.n)
-        v = u / np.linalg.norm(u)
-        for d in (float(g.n), cap):
-            lifted = lift_ball_point(g, d, v)
-            ident_worst = max(ident_worst, float(np.abs(lifted - u).max()))
-            md = _dense_md(g, d)
-            q = float(v @ md @ v)
-            lhs = float(np.linalg.norm(md - np.outer(lifted, lifted), "fro") ** 2)
-            rhs = md_norm_sq(g, d) - q * q
-            ident_worst = max(ident_worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    # the ball-lift identity, taken in the clique walk above
     checks.append(
         VerifyCheck(
             "ball_lift_identity",

@@ -37,12 +37,13 @@ np.count_nonzero, which skips ndarray.any's Python layer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .graph import CliqueSet, EdgelessGraphError, Graph, is_clique, is_maximal_clique
+from .graph import CliqueSet, EdgelessGraphError, Graph, _clique_check, is_maximal_clique
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -71,7 +72,8 @@ class SolverConfig:
                            (default: Frobenius-balance value), clamped to d_max
     binary_tol           : width of the binary bands, in (0, 0.5): a coordinate
                            counts as 0 in [0, tol] and as 1 in [1 - tol, 1 + tol]
-    max_outer_iterations : hard stop when the binary criterion never triggers
+    max_outer_iterations : hard stop when the binary criterion never triggers,
+                           an integer of at least 1
     seed                 : RNG seed for the uniform random start
     """
 
@@ -89,8 +91,10 @@ class SolverConfig:
         # rounds to 1; nan fails the test
         if not 0.0 < self.binary_tol < 0.5:
             raise ValueError(f"binary_tol must lie in (0, 0.5), got {self.binary_tol}")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
+        # nan would run no iteration, 2.5 three and inf without end
+        m = self.max_outer_iterations
+        if not (isinstance(m, numbers.Integral) and m >= 1):
+            raise ValueError(f"max_outer_iterations must be an integer of at least 1, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -377,10 +381,10 @@ def solve(
     it is a maximal clique.  A rounding that is not maximal, such as
     that of an iterate at a symmetric saddle next to a non-maximal
     clique (see README, Design notes), does not stop it; a run held
-    there ends at max_outer_iterations.  Non-converged runs
-    report the final iterate's rounding as-is together with its
-    validity flags.  The final iterate's stationarity residual is not
-    taken here, which saves a pass: for a nonzero final iterate,
+    there ends at max_outer_iterations.  Non-converged runs report the
+    final iterate's rounding as-is, with its validity flags both taken
+    in one adjacency pass.  The final iterate's stationarity residual
+    is not taken here, which saves a pass: for a nonzero final iterate,
     stationarity_residual(g, d_max(g), result.u_final) gives it at the
     penalty cap.
 
@@ -418,10 +422,12 @@ def solve(
                 checked = clique
                 converged = is_maximal_clique(g, clique.vertices)
 
-    if not converged:
+    if converged:
+        valid = maximal = True
+    else:
         clique = CliqueSet.from_indicator(round_phi(state.u))
-    maximal = converged or is_maximal_clique(g, clique.vertices)
-    valid = maximal or is_clique(g, clique.vertices)
+        valid, extenders = _clique_check(g, clique.vertices)
+        maximal = valid and not extenders.any()
     return SolverResult(
         u_final=state.u,
         clique=clique,

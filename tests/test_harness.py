@@ -8,6 +8,7 @@ import pytest
 
 from rankclique import (
     BenchRecord,
+    CliqueSet,
     CoordinateFormatError,
     EdgelessGraphError,
     NumericalDivergenceError,
@@ -26,7 +27,7 @@ from rankclique import (
     serialize_dimacs,
     solve,
 )
-from rankclique import harness
+from rankclique import harness, oracle
 from rankclique.baselines import pelillo_step
 from rankclique.harness import run_algorithm
 from rankclique.cli import main
@@ -115,6 +116,21 @@ class TestCmdSolve:
         assert best.valid
         assert best.clique_size == max(r.clique_size for r in records if r.valid)
         assert clique.size == best.clique_size
+
+    def test_best_is_the_first_largest_valid(self, k3, monkeypatch):
+        # seed 0 is larger but invalid; seeds 1 and 2 tie among the valid
+        crafted = {0: (False, 5), 1: (True, 3), 2: (True, 3), 3: (False, 2)}
+
+        def fake_run(g, name, algo, seed, **kw):
+            valid, size = crafted[seed]
+            rec = BenchRecord(name, g.n, g.edge_count, algo, seed, size, valid, valid, 1, 0.0, True)
+            return rec, CliqueSet(tuple(range(size)))
+
+        monkeypatch.setattr(harness, "run_algorithm", fake_run)
+        best, clique, records = cmd_solve(k3, "k3", restarts=4, seed=0)
+        assert [r.seed for r in records] == [0, 1, 2, 3]
+        assert best is records[1]
+        assert clique.size == 3
 
     def test_restart_count_validated(self, k3):
         with pytest.raises(ValueError, match="restarts"):
@@ -224,6 +240,23 @@ class TestCmdVerify:
         report = cmd_verify(random_graph(12, 0.5, 0), "r", seeds=range(3))
         assert report.all_passed
         assert calls == [(s, {"record_iterates": True}) for s in range(3)]
+
+    def test_maximal_cliques_enumerated_once(self, monkeypatch):
+        # omega is the largest of the enumerated cliques, not a second run
+        calls = Counter()
+
+        def counting(fn):
+            def wrapped(g):
+                calls[fn.__name__] += 1
+                return fn(g)
+            return wrapped
+
+        monkeypatch.setattr(harness, "enumerate_maximal_cliques", counting(harness.enumerate_maximal_cliques))
+        monkeypatch.setattr(oracle, "enumerate_maximal_cliques", counting(oracle.enumerate_maximal_cliques))
+        monkeypatch.setattr(oracle, "maximum_clique_exact", counting(oracle.maximum_clique_exact))
+        report = cmd_verify(random_graph(12, 0.5, 0), "r", seeds=(0,))
+        assert report.all_passed
+        assert calls == Counter(enumerate_maximal_cliques=1)
 
     def test_one_adjacency_pass_per_replicator_step(self, monkeypatch):
         # the Motzkin-Straus check reads u^T A u and the replicator step
