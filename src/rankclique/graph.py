@@ -16,16 +16,19 @@ outside a comment line included.  Files are read as bytes, so a comment
 line in a file may hold any bytes.  DIMACS files use 1-based vertex
 labels on disk.
 
-Each format has a standard layout that is read in one vectorised pass
-over its bytes: comment lines, one header line, then only lines of
-ASCII-digit fields with single spaces and LF or CRLF endings, `e u v`
-for DIMACS as serialize_dimacs writes it and `row col count` for a
-coordinate matrix as a count writer produces it.  Both passes go through
-one scanner (_standard_fields).  Every other layout, and every
-malformed file, goes through the line-by-line reader, which gives the
-same result or names the first bad line.  Both readers refuse a header
-asking for more than MAX_VERTICES vertices (or rows or columns) before
-any graph array is allocated.
+Each format has a standard layout that is read in vectorised passes
+over chunks of its body: comment lines, one header line, then only
+lines of ASCII-digit fields with single spaces and LF or CRLF endings,
+`e u v` for DIMACS as serialize_dimacs writes it and `row col count`
+for a coordinate matrix as a count writer produces it.  Both go through
+one scanner (_standard_chunks), which checks each chunk of about 64 KiB
+and reads its fields by position from the separators the checks find.
+DIMACS pairs go chunk by chunk into the graph build, so no array over
+the whole body is held.  Every other layout, and every malformed file,
+goes through the line-by-line reader, which gives the same result or
+names the first bad line.  Both readers refuse a header asking for more
+than MAX_VERTICES vertices (or rows or columns) before any graph array
+is allocated.
 
 Graph.adj_matvec, the one adjacency product the solver, the baselines
 and the clique checks use, makes one pass over one of three stored
@@ -269,42 +272,50 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
 _BITMAP_PAIRS = 8
 
 
-def _graph_from_pairs(n: int, pairs: np.ndarray) -> Graph:
-    # pairs: (m, 2) int array, already validated in-range; dedups, drops
-    # self-loops, normalizes orientation
-    a, b = pairs[:, 0], pairs[:, 1]
-    build = _marked_keys if n * n <= _BITMAP_PAIRS * len(pairs) else _sorted_keys
-    return _graph_of_keys(n, build(n, a, b))
+def _graph_from_pairs(n: int, count: int, chunks: Iterable[np.ndarray]) -> Graph:
+    """The graph on n vertices of the 0-based pairs that chunks yields as
+    (2, k) int64 arrays, count pairs in all, every endpoint already in
+    range: duplicates and self-loops dropped, orientation normalized."""
+    build = _marked_keys if n * n <= _BITMAP_PAIRS * count else _sorted_keys
+    return _graph_of_keys(n, build(n, count, chunks))
 
 
-def _marked_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _marked_keys(n: int, count: int, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """The distinct flat keys v*n + w of both orientations of the pairs
-    (a, b), self-loops dropped, ascending: marked in an n x n bitmap and
-    read back by np.flatnonzero."""
+    (a, b) in chunks, self-loops dropped, ascending: marked in an n x n
+    bitmap chunk by chunk and read back by np.flatnonzero."""
     mask = np.zeros((n, n), dtype=bool)
     flat = mask.reshape(-1)
-    key = np.multiply(a, n, dtype=np.int64)
-    key += b
-    flat[key] = True
-    np.multiply(b, n, out=key)
-    key += a
-    flat[key] = True
-    del key
+    for a, b in chunks:
+        key = np.multiply(a, n, dtype=np.int64)
+        key += b
+        flat[key] = True
+        np.multiply(b, n, out=key)
+        key += a
+        flat[key] = True
+        del key
     np.fill_diagonal(mask, False)
     return np.flatnonzero(mask)
 
 
-def _sorted_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_marked_keys by one sort of the keys: it orders the neighbour lists
-    and exposes the repeats; each undirected edge leaves exactly two
-    distinct keys."""
-    loop = a == b
-    if loop.any():
-        a, b = a[~loop], b[~loop]
-    key = np.concatenate([a, b]).astype(np.int64, copy=False)
-    key *= n
-    key += np.concatenate([b, a])
-    return _sorted_distinct(key)
+def _sorted_keys(n: int, count: int, chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """_marked_keys by one sort of the keys, which chunk by chunk fill one
+    array of 2 * count: the sort orders the neighbour lists and exposes
+    the repeats; each undirected edge leaves exactly two distinct keys."""
+    keys = np.empty(2 * count, dtype=np.int64)
+    end = 0
+    for a, b in chunks:
+        loop = a == b
+        if loop.any():
+            a, b = a[~loop], b[~loop]
+        k = len(a)
+        lo, hi = keys[end:end + k], keys[end + k:end + 2 * k]
+        np.multiply(a, n, out=lo)
+        lo += b
+        np.multiply(b, n, out=hi)
+        hi += a
+        end += 2 * k
+    return _sorted_distinct(keys[:end])
 
 
 def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -333,7 +344,7 @@ def graph_from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if bad.any():
             i = int(np.nonzero(bad.any(axis=1))[0][0])
             raise EdgeRangeError((int(pairs[i, 0]), int(pairs[i, 1])), n)
-    return _graph_from_pairs(n, pairs)
+    return _graph_from_pairs(n, len(pairs), [pairs.T])
 
 
 def parse_dimacs(text: str | bytes) -> Graph:
@@ -348,18 +359,14 @@ def parse_dimacs(text: str | bytes) -> Graph:
     Bytes are read as ASCII, so a comment line may hold any bytes; a
     non-ASCII character anywhere else is an error naming its line.  Text
     in the standard layout (see _standard_dimacs), LF or CRLF ends
-    alike, is read in one vectorised pass over its bytes; any other
-    text, including every malformed one, goes through the line-by-line
-    reader, which names the offending line.
+    alike, is read in vectorised passes over chunks of its bytes; any
+    other text, including every malformed one, goes through the
+    line-by-line reader, which names the offending line.
     """
     # UTF-8 puts no ASCII byte inside a non-ASCII character, so a str
     # has the same lines and ASCII fields as its encoding
     data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else text
-    parsed = _standard_dimacs(data)
-    if parsed is None:
-        parsed = _dimacs_lines(text)
-    n, declared_m, pairs = parsed
-    g = _graph_from_pairs(n, pairs)
+    g, declared_m = _standard_dimacs(data) or _dimacs_lines(text)
     if g.edge_count != declared_m:
         warnings.warn(
             f"problem line declares {declared_m} edges, parsed {g.edge_count}",
@@ -388,6 +395,18 @@ _COMMENT_REST = rb"[^\n\r\x0b\x0c\x1c-\x1e]*\n"
 _COUNT = rb"([0-9]{1,%d})" % _MAX_DIGITS
 _DIMACS_HEADER = re.compile(rb"(?:c%s)*p edge %s %s\n" % (_COMMENT_REST, _COUNT, _COUNT))
 _COORDINATE_HEADER = re.compile(rb"(?:[%%#]%s)*%s %s %s\n" % (_COMMENT_REST, _COUNT, _COUNT, _COUNT))
+# The standard readers scan a body in chunks of at most this many bytes,
+# each ending at an LF; a standard line has at most 4 + 3 * 18 bytes.  A
+# chunk's per-line arrays take about 12 bytes per byte of it, so they
+# stay in a core's L2 cache.  Reading hamming10_2 (5.1 MB) with 16 or 32
+# KiB chunks took 1.3-1.6x or 1.2-1.3x as long, from more numpy calls
+# per byte; 64 to 256 KiB chunks stayed within about 10% of each other
+# on it and on five 200 kB count files, and one pass over its whole body
+# took 1.8x as long (2 vCPUs, 2 MiB of L2 per core).
+_CHUNK_BYTES = 1 << 16
+# The value of each byte as an ASCII digit, 0 for any other byte.
+_DIGIT = np.zeros(256, dtype=np.int64)
+_DIGIT[ord("0"):ord("9") + 1] = np.arange(10)
 
 
 def _records(
@@ -428,87 +447,125 @@ def _integer(token: str) -> int | None:
     return None
 
 
-def _standard_fields(
-    data: bytes, header: re.Pattern[bytes], lead: bytes, fields: int
-) -> tuple[re.Match[bytes], np.ndarray] | None:
-    """(header match, the body's fields as an int64 array of one row per
-    line) if data is in a standard layout, else None.
+class _OffLayout(Exception):
+    """A chunk of a body is not in its standard layout."""
 
-    A standard layout is text matching `header`, then only lines made of
-    `lead` and `fields` fields of 1 to _MAX_DIGITS ASCII digits joined by
-    single spaces, each ending in LF or CRLF.  Ranges are the caller's to
-    check.
-    """
+
+def _standard_body(data: bytes, header: re.Pattern[bytes]) -> tuple[bytes, re.Match[bytes]] | None:
+    """(data with CRLF ends made LF, its match of `header`) if it starts
+    with a standard header, else None."""
     if b"\r" in data:
         # the line reader splits at CRLF as at LF; a lone CR is left in
-        # place, to fail the checks below
+        # place, to fail the checks of _chunk_fields
         data = data.replace(b"\r\n", b"\n")
     head = header.match(data)
-    if head is None:
-        return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=head.end())
-    if body.size == 0:
-        return head, np.zeros((0, fields), dtype=np.int64)
+    return None if head is None else (data, head)
+
+
+def _standard_chunks(
+    data: bytes, start: int, lead: bytes, fields: int, sizes: tuple[int, ...]
+) -> Iterator[np.ndarray]:
+    """The fields of the lines of data[start:] as one (fields, lines)
+    int64 array per chunk of at most _CHUNK_BYTES bytes ending at an LF,
+    each index field 0-based (see _chunk_fields); raises _OffLayout at
+    the first chunk not in the standard layout."""
+    while start < len(data):
+        # a chunk with no LF holds an unterminated last line or a line
+        # longer than _CHUNK_BYTES, which no standard line is
+        stop = data.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
+        if stop <= start:
+            raise _OffLayout
+        yield _chunk_fields(np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start), lead, fields, sizes)
+        start = stop
+
+
+def _chunk_fields(body: np.ndarray, lead: bytes, fields: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """The (fields, lines) int64 array of the lines of body, bytes ending
+    in an LF, if every line is made of `lead` and `fields` fields of 1 to
+    _MAX_DIGITS ASCII digits joined by single spaces, and field i is in
+    1..sizes[i] for each of sizes; those index fields come back 0-based.
+    Raises _OffLayout otherwise."""
     ends = np.flatnonzero(body == ord("\n"))
-    if ends.size == 0 or ends[-1] != body.size - 1:
-        return None
     starts = np.concatenate([[0], ends[:-1] + 1])
     lead_spaces = lead.count(b" ")
     spaces = np.flatnonzero(body == ord(" "))
     if spaces.size != (lead_spaces + fields - 1) * ends.size:
-        return None
+        raise _OffLayout
     # each field lies between the previous separator (the lead's last
     # byte, or the LF before the line) and the next (a space, or the
-    # LF); fromstring would shift the fields past an empty one and
-    # saturates an overflowing one without a warning
-    prev = starts + (len(lead) - 1)
-    for sep in (*spaces.reshape(ends.size, -1)[:, lead_spaces:].T, ends):
+    # LF); index -1, the chunk's last LF, stands for the LF before its
+    # first line
+    first = starts + (len(lead) - 1)
+    seps = [*spaces.reshape(ends.size, -1)[:, lead_spaces:].T, ends]
+    widest = []
+    prev = first
+    for sep in seps:
         width = sep - prev  # one more than the field's width
         if width.min() < 2 or width.max() > _MAX_DIGITS + 1:
-            return None
+            raise _OffLayout
+        widest.append(int(width.max()) - 1)
         prev = sep
     # so every line is longer than its lead and holds fields - 1 spaces
     # after it; with the lead's own, the count above leaves it no other
     # space, and the digit count below no other byte
     for offset, byte in enumerate(lead):
-        if not np.all(body[offset:][starts] == byte):
-            return None
+        if not np.all(body.take(starts + offset) == byte):
+            raise _OffLayout
     # uint8 arithmetic wraps the bytes below "0" past 9
     if np.count_nonzero(body - ord("0") < 10) != body.size - (len(lead) + fields) * ends.size:
-        return None
-    text = data[head.end():]
-    if lead:
-        # the lead's bytes occur nowhere else; blanked, fromstring reads
-        # them as part of the separator
-        text = text.translate(bytes.maketrans(lead, b" " * len(lead)))
-    return head, np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, fields)
+        raise _OffLayout
+    # each field is read right-aligned, its k-th digit from the end at
+    # sep - 1 - k; in a field narrower than the widest the index stops at
+    # its leading separator, which _DIGIT reads as 0.  take gathers in
+    # about half the time of fancy indexing here.
+    values = np.empty((fields, ends.size), dtype=np.int64)
+    digit = np.empty(ends.size, dtype=np.int64)
+    prev = first
+    for value, sep, digits in zip(values, seps, widest):
+        at = sep - 1
+        _DIGIT.take(body.take(at), out=value)
+        for k in range(1, digits):
+            at -= 1
+            np.maximum(at, prev, out=at)
+            _DIGIT.take(body.take(at), out=digit)
+            digit *= 10**k
+            value += digit
+        prev = sep
+    for value, size in zip(values, sizes):
+        if value.min() < 1 or value.max() > size:
+            raise _OffLayout
+        value -= 1
+    return values
 
 
-def _standard_dimacs(data: bytes) -> tuple[int, int, np.ndarray] | None:
-    """(n, declared m, 0-based pairs) if data is in the standard layout, else None.
+def _standard_dimacs(data: bytes) -> tuple[Graph, int] | None:
+    """(graph, declared m) if data is in the standard layout, else None.
 
     The standard layout is the header above (comment lines, then the
     problem line), then only `e <digits> <digits>` lines, single spaces,
     each ending in LF or CRLF, every endpoint in 1..n.  serialize_dimacs
     writes text in this layout, with no comment lines and LF ends.  For
-    such data the answer is what _dimacs_lines returns.
+    such data the answer is what _dimacs_lines returns.  The pairs go
+    chunk by chunk into the graph build, which takes its bitmap-or-sort
+    choice from the body's line count.
     """
-    scanned = _standard_fields(data, _DIMACS_HEADER, b"e ", 2)
+    scanned = _standard_body(data, _DIMACS_HEADER)
     if scanned is None:
         return None
-    header, labels = scanned
-    n, declared_m = int(header[1]), int(header[2])
-    if n > MAX_VERTICES or (labels.size and (labels.min() < 1 or labels.max() > n)):
+    data, head = scanned
+    n, declared_m = int(head[1]), int(head[2])
+    if n > MAX_VERTICES:
         return None
-    # in place: on hamming10_2 a copy here left the graph build about
-    # 7 MB of fresh pages to fault in
-    labels -= 1
-    return n, declared_m, labels
+    lines = data.count(b"\n", head.end())
+    try:
+        return _graph_from_pairs(n, lines, _standard_chunks(data, head.end(), b"e ", 2, (n, n))), declared_m
+    except _OffLayout:
+        return None
 
 
-def _dimacs_lines(text: str | bytes) -> tuple[int, int, np.ndarray]:
-    """(n, declared m, 0-based pairs) read line by line, for any layout
-    the format allows; raises DimacsFormatError naming the first bad line."""
+def _dimacs_lines(text: str | bytes) -> tuple[Graph, int]:
+    """(graph, declared m) read line by line, for any layout the format
+    allows; raises DimacsFormatError naming the first bad line."""
     n = None
     declared_m = None
     pairs: list[tuple[int, int]] = []
@@ -542,10 +599,12 @@ def _dimacs_lines(text: str | bytes) -> tuple[int, int, np.ndarray]:
             raise DimacsFormatError(line_no, f"unrecognized line {line!r}")
     if n is None:
         raise DimacsFormatError(0, "missing problem line")
-    return n, declared_m, np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return _graph_from_pairs(n, len(pairs), [pairs.T]), declared_m
 
 
 def read_dimacs(path: str | Path) -> Graph:
+    """The graph in the DIMACS file at path, read as bytes by parse_dimacs."""
     return parse_dimacs(Path(path).read_bytes())
 
 
@@ -581,26 +640,44 @@ def _label_digits(n: int, w: int) -> np.ndarray:
     return table
 
 
+# random_graph draws the uniforms of this many bitmap entries' worth of
+# rows at a time (at most 2 MB of draws), one block up to n = 512.  At
+# n = 1500, blocks of 2^14 entries took about 1.2x as long as one
+# whole-triangle draw, from their numpy calls, while 2^18 and 2^20 took
+# as long.
+_DRAW_ENTRIES = 1 << 18
+
+
 def random_graph(n: int, density: float, seed: int) -> Graph:
     """Bernoulli random graph: each of the n(n-1)/2 pairs is an edge
     independently with probability `density`.  Same (n, density, seed)
     always yields the same graph.
 
     Pair (v, w), v < w, takes the draw at its place in the row-major
-    order of the upper triangle.  Memory: the 8-byte draws, then an n²
-    byte bitmap, then the graph's own arrays.
+    order of the upper triangle.  The draws are made one block of rows
+    at a time, each block's straight into an n² byte bitmap; a
+    Generator's stream does not depend on how its draws are split, so
+    the blocks read the draws one whole-triangle call would.  Memory:
+    the bitmap and one block's 8-byte draws, then the graph's own
+    arrays.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
-    upper = rng.random(n * (n - 1) // 2) < density
     mask = np.zeros((n, n), dtype=bool)
-    # a boolean-mask assignment fills the strict upper triangle in
-    # row-major order
-    mask[~np.tri(n, dtype=bool)] = upper
-    del upper
+    rows = max(1, _DRAW_ENTRIES // max(n, 1))
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        # rows r0..r1-1 hold n - 1 - r pairs each in the upper triangle
+        drawn = rng.random((r1 - r0) * (2 * n - r0 - r1 - 1) // 2) < density
+        # a boolean-mask assignment fills the block's part of the strict
+        # upper triangle in row-major order
+        upper = np.tri(r1 - r0, n, k=r0, dtype=bool)
+        np.logical_not(upper, out=upper)
+        mask[r0:r1][upper] = drawn
+        del drawn, upper
     mask |= mask.T
     return _graph_of_keys(n, np.flatnonzero(mask))
 
@@ -617,17 +694,15 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
 
     Bytes are read as ASCII, so a comment line may hold any bytes.  Text
     in the standard layout (see _standard_coordinates), LF or CRLF ends
-    alike, is read in one vectorised pass over its bytes; any other
-    text, including every malformed one, goes through the line-by-line
-    reader, which gives the same matrix or names the offending line.
+    alike, is read in vectorised passes over chunks of its bytes; any
+    other text, including every malformed one, goes through the
+    line-by-line reader, which gives the same matrix or names the
+    offending line.
     """
     # as in parse_dimacs, a str has the same lines and ASCII fields as
     # its encoding
     data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else text
-    parsed = _standard_coordinates(data)
-    if parsed is None:
-        parsed = _coordinate_lines(text)
-    shape, rows, cols, vals = parsed
+    shape, rows, cols, vals = _standard_coordinates(data) or _coordinate_lines(text)
     # tocsr sums repeated entries
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
@@ -640,19 +715,26 @@ def _standard_coordinates(data: bytes) -> tuple[tuple[int, int], np.ndarray, np.
     above, then only `<digits> <digits> <digits>` lines, single spaces,
     each ending in LF or CRLF, every row in 1..n_rows and every column
     in 1..n_cols.  For such data the answer is what _coordinate_lines
-    returns.
+    returns.  The chunks fill one (3, lines) array, lines counted
+    before the first chunk.
     """
-    scanned = _standard_fields(data, _COORDINATE_HEADER, b"", 3)
+    scanned = _standard_body(data, _COORDINATE_HEADER)
     if scanned is None:
         return None
-    header, entries = scanned
-    n_rows, n_cols = int(header[1]), int(header[2])
+    data, head = scanned
+    n_rows, n_cols = int(head[1]), int(head[2])
     if max(n_rows, n_cols) > MAX_VERTICES:
         return None
-    rows, cols, vals = entries.T
-    if entries.size and not (1 <= rows.min() and rows.max() <= n_rows and 1 <= cols.min() and cols.max() <= n_cols):
+    entries = np.empty((3, data.count(b"\n", head.end())), dtype=np.int64)
+    end = 0
+    try:
+        for chunk in _standard_chunks(data, head.end(), b"", 3, (n_rows, n_cols)):
+            entries[:, end:end + chunk.shape[1]] = chunk
+            end += chunk.shape[1]
+    except _OffLayout:
         return None
-    return (n_rows, n_cols), rows - 1, cols - 1, vals.astype(np.float64)
+    rows, cols, vals = entries
+    return (n_rows, n_cols), rows, cols, vals.astype(np.float64)
 
 
 def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:

@@ -29,11 +29,10 @@ from .graph import (
     CliqueSet,
     EdgelessGraphError,
     Graph,
+    _clique_check,
     _cooccurrence_from_counts,
     _least_threshold,
     _shared_term_counts,
-    is_clique,
-    is_maximal_clique,
     random_graph,
     serialize_dimacs,
 )
@@ -141,8 +140,8 @@ def run_algorithm(
     if tag == "r1nm":
         valid, maximal = result.clique_valid, result.clique_maximal
     else:
-        maximal = is_maximal_clique(g, clique.vertices)
-        valid = maximal or is_clique(g, clique.vertices)
+        valid, extenders = _clique_check(g, clique.vertices)
+        maximal = valid and not extenders.any()
     record = BenchRecord(
         instance_name=instance_name,
         n=g.n,

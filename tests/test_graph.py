@@ -421,10 +421,10 @@ class TestDimacs:
         g = graph_from_edge_list(n, np.concatenate([rng.integers(0, n, (3 * n, 2)), [[0, n - 1]]]))
         text = serialize_dimacs(g)
         assert text == dimacs_text_reference(g)
-        # written in the standard layout, which the vectorised pass reads
-        n_read, declared_m, pairs = graph_module._standard_dimacs(text.encode("ascii"))
-        assert (n_read, declared_m) == (n, g.edge_count)
-        assert np.array_equal(pairs, g.edges())
+        # written in the standard layout, which the chunked scan reads
+        h, declared_m = graph_module._standard_dimacs(text.encode("ascii"))
+        assert (h.n, declared_m) == (n, g.edge_count)
+        assert np.array_equal(h.edges(), g.edges())
 
     def test_serialize_at_hamming10_2_density(self):
         g = random_graph(1024, 0.99, seed=3)
@@ -459,7 +459,7 @@ class TestDimacs:
         monkeypatch.setattr(graph_module, "_dimacs_lines", line_reader)
         h = parse_dimacs(text)
         assert np.array_equal(h.indices, g.indices)
-        # the declared-count check runs on the vectorised pass too
+        # the declared-count check runs on the chunked scan too
         wrong = text.replace(f"p edge 200 {g.edge_count}", f"p edge 200 {g.edge_count + 1}")
         with pytest.warns(DimacsWarning, match=f"declares {g.edge_count + 1} edges, parsed {g.edge_count}"):
             parse_dimacs(wrong)
@@ -518,7 +518,7 @@ class TestDimacs:
         path = tmp_path / "g.clq"
         path.write_bytes(data.replace(b"\n", newline))
         monkeypatch.setattr(graph_module, "_dimacs_lines", line_reader)
-        # a deprecation in the vectorised pass fails here, not only warns
+        # a deprecation in the chunked scan fails here, not only warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the file, and its text as a str with a non-ASCII comment
@@ -552,6 +552,116 @@ class TestDimacs:
         with pytest.raises(DimacsFormatError, match="malformed edge line") as exc:
             parse_dimacs("".join(lines))
         assert exc.value.line_no == k
+
+
+def dimacs_line_reader_only(text):
+    with mock.patch.object(graph_module, "_standard_dimacs", lambda data: None):
+        return parse_dimacs(text)
+
+
+def graph_outcome(parse, text):
+    """The graph's arrays, or the error's type and line number."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DimacsWarning)
+            g = parse(text)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "line_no", None)
+    return g.n, g.edge_count, g.indptr.tobytes(), g.indices.tobytes()
+
+
+# chunk sizes below the longest standard line (58 bytes), at a power of
+# two, and at one that splits lines anywhere
+SMALL_CHUNKS = [48, 64, 97]
+
+
+class TestChunkedScan:
+    """The standard readers scan their body in chunks of _CHUNK_BYTES."""
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_dimacs_chunks_read_like_the_line_reader(self, chunk, monkeypatch):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk)
+        # sparse graphs take the sort build, dense ones the bitmap
+        cases = [random_graph(n, p, seed) for seed, (n, p) in enumerate(
+            (n, p) for n in (1, 7, 40, 150) for p in (0.02, 0.3, 0.95))]
+        for i, g in enumerate(cases):
+            text = "c chunked\n" + serialize_dimacs(g)
+            if i % 3 == 2:
+                text = text.replace("\n", "\r\n")
+            assert graph_module._standard_dimacs(text.encode("ascii")) is not None
+            expected = graph_outcome(dimacs_line_reader_only, text)
+            assert expected[:2] == (g.n, g.edge_count)
+            assert graph_outcome(parse_dimacs, text) == expected
+
+    @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+    def test_coordinate_chunks_read_like_the_line_reader(self, chunk, monkeypatch):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk)
+        for seed in range(8):
+            text = count_file(*doc_term_entries(20 + 10 * seed, 50, 40 * seed + 1, seed))
+            if seed % 3 == 2:
+                text = text.replace("\n", "\r\n")
+            assert graph_module._standard_coordinates(text.encode("ascii")) is not None
+            assert outcome(parse_coordinate_matrix, text) == outcome(line_reader_only, text)
+
+    @pytest.mark.parametrize("chunk", [64, None])
+    def test_errors_in_a_late_chunk_name_their_line(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk)
+        lines = serialize_dimacs(random_graph(200, 0.5, seed=5)).splitlines(keepends=True)
+        # past the first 64 KiB, so in a later chunk at either size
+        k = len(lines) - 3
+        assert len("".join(lines[:k])) > 1 << 16
+        for bad, message in (("e 3 201\n", "out of range"), ("e 1 \n", "malformed edge line"),
+                             ("e  2\n", "malformed edge line"), ("e 1 2 3\n", "malformed edge line"),
+                             ("x 1 2\n", "unrecognized line")):
+            text = "".join(lines[:k - 1] + [bad] + lines[k:])
+            with pytest.raises(DimacsFormatError, match=message) as exc:
+                parse_dimacs(text)
+            assert exc.value.line_no == k
+        entries = count_file(*doc_term_entries(80, 300, 9000, seed=6)).splitlines(keepends=True)
+        k = len(entries) - 3
+        assert len("".join(entries[:k])) > 1 << 16
+        for bad, message in (("81 1 1\n", "out of range"), ("1 1\n", "malformed entry")):
+            with pytest.raises(CoordinateFormatError, match=message) as exc:
+                parse_coordinate_matrix("".join(entries[:k - 1] + [bad] + entries[k:]))
+            assert exc.value.line_no == k
+
+    def test_a_line_longer_than_a_chunk_goes_to_the_line_reader(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 32)
+        # 40 bytes, standard but longer than a chunk
+        text = "p edge 3 2\ne 1 2\ne 000000000000000002 000000000000000003\ne 1 3\n"
+        spy = mock.Mock(wraps=graph_module._dimacs_lines)
+        monkeypatch.setattr(graph_module, "_dimacs_lines", spy)
+        with pytest.warns(DimacsWarning):
+            g = parse_dimacs(text)
+        assert spy.call_count == 1
+        assert g.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
+
+    def test_one_and_eighteen_digit_fields_read_exactly(self):
+        big = 10**18 - 1
+        text = f"1 1 {big}\n3 2 1\n000000000000000003 02 100000000000000000\n0001 1 0\n".encode("ascii")
+        chunks = list(graph_module._standard_chunks(text, 0, b"", 3, (3, 2)))
+        values = np.concatenate(chunks, axis=1)
+        assert values.T.tolist() == [[0, 0, big], [2, 1, 1], [2, 1, 10**17], [0, 0, 0]]
+        # leading zeros in a DIMACS label take the chunked scan as well
+        data = b"p edge 12 2\ne 000000000000000012 1\ne 01 0002\n"
+        g, declared_m = graph_module._standard_dimacs(data)
+        assert declared_m == 2
+        assert g.edges().tolist() == [[0, 1], [0, 11]]
+
+    def test_peak_memory_of_a_dense_read(self):
+        # the bitmap and the graph's arrays, plus the per-line arrays of
+        # one chunk: about 100 bytes per line of at least 6 bytes, so at
+        # most 17 per byte of the chunk.  No array over the whole body.
+        data = serialize_dimacs(random_graph(600, 0.95, 0)).encode("ascii")
+        tracemalloc.start()
+        try:
+            g = parse_dimacs(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n * g.n <= graph_module._BITMAP_PAIRS * g.edge_count
+        assert peak <= g.n * g.n + g.indices.nbytes + g.indptr.nbytes + 32 * graph_module._CHUNK_BYTES
 
 
 class TestRandomGraph:
@@ -590,6 +700,18 @@ class TestRandomGraph:
                 assert not (g.indptr.flags.writeable or g.indices.flags.writeable)
                 assert np.array_equal(g.indptr, indptr)
                 assert np.array_equal(g.indices, indices)
+
+    def test_blocks_of_rows_draw_the_one_block_graph(self, monkeypatch):
+        # a Generator's stream does not depend on how its draws are split
+        cases = [(n, p, seed) for n in (2, 5, 33, 120) for p in (0.1, 0.5, 0.9) for seed in range(2)]
+        whole = [random_graph(*case) for case in cases]
+        assert all(n * n <= graph_module._DRAW_ENTRIES for n, _, _ in cases)
+        for entries in (1, 37, 200):
+            monkeypatch.setattr(graph_module, "_DRAW_ENTRIES", entries)
+            for case, g in zip(cases, whole):
+                h = random_graph(*case)
+                assert np.array_equal(h.indptr, g.indptr), (entries, case)
+                assert np.array_equal(h.indices, g.indices), (entries, case)
 
     @pytest.mark.parametrize("density, seed", [(0.15, 0), (0.5, 1), (0.85, 2)])
     def test_peak_memory(self, density, seed):
@@ -712,7 +834,7 @@ class TestCoordinateMatrix:
         path = tmp_path / "docs.txt"
         path.write_bytes(data.replace(b"\n", newline))
         monkeypatch.setattr(graph_module, "_records", line_reader)
-        # a deprecation in the vectorised pass fails here, not only warns
+        # a deprecation in the chunked scan fails here, not only warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the file, and its text as a str with a non-ASCII comment

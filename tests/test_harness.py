@@ -102,6 +102,26 @@ class TestRunAlgorithm:
         assert rec.valid
         assert rec.clique_size == clique.size
 
+    def test_a_baseline_clique_is_validated_in_one_pass(self, monkeypatch):
+        # ding's greedy clique on this graph is a clique but not maximal;
+        # its valid and maximal flags both come from one adjacency pass
+        g = random_graph(20, 0.3, 0)
+        passes = Counter()
+        adj_matvec = Graph.adj_matvec
+
+        def counted(self, u):
+            passes["all"] += 1
+            return adj_matvec(self, u)
+
+        monkeypatch.setattr(Graph, "adj_matvec", counted)
+        u, _, _ = run_baseline(g, "ding")
+        harness.postprocess_greedy(g, u)
+        built = passes["all"]  # the passes that build the clique
+        passes.clear()
+        record, _ = run_algorithm(g, "g", "ding", 0)
+        assert (record.valid, record.maximal) == (True, False)
+        assert passes["all"] - built == 1
+
 
 class TestCmdSolve:
     def test_restart_seeds_are_consecutive(self, star5):

@@ -136,10 +136,9 @@ def one_build(n: int, ratio: float, seed: int, batches: int = BUILD_BATCHES) -> 
     pairs, each as _graph_from_pairs runs it: _graph_of_keys over
     _sorted_keys and over _marked_keys."""
     pairs = np.random.default_rng(seed).integers(0, n, size=(round(n * n / ratio), 2))
-    a, b = pairs[:, 0], pairs[:, 1]
 
     def build(keys):
-        return _graph_of_keys(n, keys(n, a, b))
+        return _graph_of_keys(n, keys(n, len(pairs), [pairs.T]))
 
     g, h = build(_sorted_keys), build(_marked_keys)
     assert np.array_equal(g.indptr, h.indptr) and np.array_equal(g.indices, h.indices)
