@@ -276,11 +276,12 @@ def _graph_from_pairs(n: int, count: int, chunks: Iterable[np.ndarray]) -> Graph
     """The graph on n vertices of the 0-based pairs that chunks yields as
     (2, k) int64 arrays, count pairs in all, every endpoint already in
     range: duplicates and self-loops dropped, orientation normalized."""
-    build = _marked_keys if n * n <= _BITMAP_PAIRS * count else _sorted_keys
-    return _graph_of_keys(n, build(n, count, chunks))
+    if n * n <= _BITMAP_PAIRS * count:
+        return _graph_of_keys(n, _marked_keys(n, chunks))
+    return _graph_of_keys(n, _sorted_keys(n, count, chunks))
 
 
-def _marked_keys(n: int, count: int, chunks: Iterable[np.ndarray]) -> np.ndarray:
+def _marked_keys(n: int, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """The distinct flat keys v*n + w of both orientations of the pairs
     (a, b) in chunks, self-loops dropped, ascending: marked in an n x n
     bitmap chunk by chunk and read back by np.flatnonzero."""
@@ -640,44 +641,26 @@ def _label_digits(n: int, w: int) -> np.ndarray:
     return table
 
 
-# random_graph draws the uniforms of this many bitmap entries' worth of
-# rows at a time (at most 2 MB of draws), one block up to n = 512.  At
-# n = 1500, blocks of 2^14 entries took about 1.2x as long as one
-# whole-triangle draw, from their numpy calls, while 2^18 and 2^20 took
-# as long.
-_DRAW_ENTRIES = 1 << 18
-
-
 def random_graph(n: int, density: float, seed: int) -> Graph:
     """Bernoulli random graph: each of the n(n-1)/2 pairs is an edge
     independently with probability `density`.  Same (n, density, seed)
     always yields the same graph.
 
     Pair (v, w), v < w, takes the draw at its place in the row-major
-    order of the upper triangle.  The draws are made one block of rows
-    at a time, each block's straight into an n² byte bitmap; a
-    Generator's stream does not depend on how its draws are split, so
-    the blocks read the draws one whole-triangle call would.  Memory:
-    the bitmap and one block's 8-byte draws, then the graph's own
-    arrays.
+    order of the upper triangle.  Memory: the 8-byte draws, then an n²
+    byte bitmap, then the graph's own arrays.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
+    upper = rng.random(n * (n - 1) // 2) < density
     mask = np.zeros((n, n), dtype=bool)
-    rows = max(1, _DRAW_ENTRIES // max(n, 1))
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        # rows r0..r1-1 hold n - 1 - r pairs each in the upper triangle
-        drawn = rng.random((r1 - r0) * (2 * n - r0 - r1 - 1) // 2) < density
-        # a boolean-mask assignment fills the block's part of the strict
-        # upper triangle in row-major order
-        upper = np.tri(r1 - r0, n, k=r0, dtype=bool)
-        np.logical_not(upper, out=upper)
-        mask[r0:r1][upper] = drawn
-        del drawn, upper
+    # a boolean-mask assignment fills the strict upper triangle in
+    # row-major order
+    mask[~np.tri(n, dtype=bool)] = upper
+    del upper
     mask |= mask.T
     return _graph_of_keys(n, np.flatnonzero(mask))
 

@@ -701,18 +701,6 @@ class TestRandomGraph:
                 assert np.array_equal(g.indptr, indptr)
                 assert np.array_equal(g.indices, indices)
 
-    def test_blocks_of_rows_draw_the_one_block_graph(self, monkeypatch):
-        # a Generator's stream does not depend on how its draws are split
-        cases = [(n, p, seed) for n in (2, 5, 33, 120) for p in (0.1, 0.5, 0.9) for seed in range(2)]
-        whole = [random_graph(*case) for case in cases]
-        assert all(n * n <= graph_module._DRAW_ENTRIES for n, _, _ in cases)
-        for entries in (1, 37, 200):
-            monkeypatch.setattr(graph_module, "_DRAW_ENTRIES", entries)
-            for case, g in zip(cases, whole):
-                h = random_graph(*case)
-                assert np.array_equal(h.indptr, g.indptr), (entries, case)
-                assert np.array_equal(h.indices, g.indices), (entries, case)
-
     @pytest.mark.parametrize("density, seed", [(0.15, 0), (0.5, 1), (0.85, 2)])
     def test_peak_memory(self, density, seed):
         # the float64 draws (4n² bytes) and one n² byte bitmap, then the

@@ -138,7 +138,9 @@ def one_build(n: int, ratio: float, seed: int, batches: int = BUILD_BATCHES) -> 
     pairs = np.random.default_rng(seed).integers(0, n, size=(round(n * n / ratio), 2))
 
     def build(keys):
-        return _graph_of_keys(n, keys(n, len(pairs), [pairs.T]))
+        if keys is _marked_keys:
+            return _graph_of_keys(n, _marked_keys(n, [pairs.T]))
+        return _graph_of_keys(n, _sorted_keys(n, len(pairs), [pairs.T]))
 
     g, h = build(_sorted_keys), build(_marked_keys)
     assert np.array_equal(g.indptr, h.indptr) and np.array_equal(g.indices, h.indices)
