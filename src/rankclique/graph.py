@@ -36,11 +36,12 @@ forms, chosen by entry counts alone: the dense 0/1 matrix of A when the
 sparser of A and the non-edge adjacency Ā still holds at least 9/20 of
 the n² entries, else the CSR of whichever of A and Ā has fewer entries.
 The 9/20 comes from a crossover table (tools/operator_crossover.py,
-committed in BENCH_9.json) of dense against sparse passes for n from 100
-to 4000: at that share the dense pass is faster up to n = 1000, while
-at n = 2000 and 4000 it ranges from 3% slower to 14% faster over two
-runs of the table.  The operator is built on the first pass, not at
-ingest.
+committed in BENCH_9.json, re-run in README with the bound kernels) of
+dense against sparse passes for n from 100 to 4000: at that share the
+dense pass is faster up to n = 1000, while at n = 2000 and 4000 it
+ranges from 6% slower to 14% faster over three runs of the table.  The
+operator is built on the first pass, not at ingest, and so is the
+kernel that makes the pass over it (_bound_pass).
 """
 
 from __future__ import annotations
@@ -49,17 +50,23 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 
 # Largest vertex count a reader accepts: a header asking for more is
 # refused before the graph's (n + 1)-entry row index is allocated.
 MAX_VERTICES = 10_000_000
+
+# Largest working memory random_graph takes for its float64 draws and
+# its n x n bitmap, 8 n(n-1)/2 + n² bytes: 1 GiB admits n up to 14,654.
+# A larger graph is refused before anything is drawn.
+MAX_RANDOM_GRAPH_BYTES = 1 << 30
 
 
 class EdgeRangeError(ValueError):
@@ -132,13 +139,14 @@ class Graph:
         * the dense float64 0/1 matrix of A, once the sparser of A and Ā
           still holds at least 9/20 of the n² entries.  A dgemv reads 8
           bytes per entry in order, a CSR pass 12 per stored entry plus a
-          gather of u through them.  In the crossover table of
-          BENCH_9.json (n from 100 to 4000, BLAS on one thread, two
-          runs) the dense pass at 9/20 is 1.08-2.15x as fast for
-          n <= 1000, but from 3% slower to 14% faster at n = 2000 and
-          4000, so near the lower edge of the band it is not always the
-          faster form; at 7/20 it is up to 24% slower.  Its memory, 8n²
-          bytes, stays within 1.5x of the CSR it replaces;
+          gather of u through them.  In the crossover tables of
+          BENCH_9.json and README (n from 100 to 4000, BLAS on one
+          thread, three runs) the dense pass at 9/20 is 1.08-2.45x as
+          fast for n <= 1000, but from 6% slower to 14% faster at
+          n = 2000 and 4000, so near the lower edge of the band it is
+          not always the faster form; at 7/20 it is up to 26% slower.
+          Its memory, 8n² bytes, stays within 1.5x of the CSR it
+          replaces;
         * else the 0/1 CSR of Ā when it has fewer entries than A
           (4·edge_count > n(n-1));
         * else the 0/1 CSR of A (a tie between A and Ā keeps A).
@@ -150,6 +158,12 @@ class Graph:
         if non_edges < stored:
             return _csr(n, *_complement_structure(self)), True
         return _csr(n, self.indptr, self.indices), False
+
+    @cached_property
+    def _pass(self) -> Callable[[np.ndarray], np.ndarray]:
+        """u -> A u over the stored operator, bound on the first pass
+        (see _bound_pass)."""
+        return _bound_pass(*self._stored_operator)
 
     def adj_matvec(self, u: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ u in one pass over the stored
@@ -165,11 +179,37 @@ class Graph:
             raise ValueError(f"vector has shape {u.shape}, expected ({self.n},)")
         if self.n == 0:
             return np.zeros(0)
-        op, complement = self._stored_operator
-        au = _dense_pass(op, u) if isinstance(op, np.ndarray) else op @ u
-        if complement:
-            return np.subtract(float(u.sum()) - u, au, out=au)
-        return au
+        return self._pass(u)
+
+
+def _bound_pass(op: np.ndarray | sp.csr_matrix, complement: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """The pass u -> A u over one stored form, with its arrays bound once.
+
+    The dense form runs _dense_pass.  A CSR form runs scipy's csr_matvec
+    into a fresh zero vector, the kernel in which op @ u ends, without
+    the dispatch that @ makes on every call (scipy has no public entry
+    point to it).  On Ā, _complement_pass follows the kernel.  Partials
+    of module functions keep a graph picklable.  u must be a float64
+    vector of length n.
+    """
+    if isinstance(op, np.ndarray):
+        kernel = partial(_dense_pass, op)
+    else:
+        kernel = partial(_csr_pass, op.shape[0], op.indptr, op.indices, op.data)
+    return partial(_complement_pass, kernel) if complement else kernel
+
+
+def _complement_pass(kernel: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
+    """A u = (sum(u) - u) - Ā u, in the array of Ā u = kernel(u)."""
+    au = kernel(u)
+    return np.subtract(float(np.add.reduce(u)) - u, au, out=au)
+
+
+def _csr_pass(n: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The n x n CSR matrix (data, indices, indptr) times u, as op @ u computes it."""
+    out = np.zeros(n)
+    csr_matvec(n, n, indptr, indices, data, u, out)
+    return out
 
 
 # Largest dgemv of the dense pass, in matrix entries.  The OpenBLAS in
@@ -648,12 +688,21 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
 
     Pair (v, w), v < w, takes the draw at its place in the row-major
     order of the upper triangle.  Memory: the 8-byte draws, then an n²
-    byte bitmap, then the graph's own arrays.
+    byte bitmap, then the graph's own arrays.  A graph whose draws and
+    bitmap would take more than MAX_RANDOM_GRAPH_BYTES is refused with
+    ValueError before any of them is allocated.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
+    k = int(n)  # a Python int, which cannot wrap as a NumPy integer's n * n can
+    need = 8 * (k * (k - 1) // 2) + k * k
+    if need > MAX_RANDOM_GRAPH_BYTES:
+        raise ValueError(
+            f"a random graph on {n} vertices needs {need} bytes for its draws and bitmap, "
+            f"over the limit of {MAX_RANDOM_GRAPH_BYTES}"
+        )
     rng = np.random.default_rng(seed)
     upper = rng.random(n * (n - 1) // 2) < density
     mask = np.zeros((n, n), dtype=bool)
@@ -850,7 +899,15 @@ class CliqueSet:
     @classmethod
     def from_indicator(cls, u: np.ndarray) -> "CliqueSet":
         """Vertices where the binary indicator is positive."""
-        return cls(tuple(int(i) for i in np.nonzero(np.asarray(u) > 0)[0]))
+        return cls._of_sorted(np.nonzero(np.asarray(u) > 0)[0])
+
+    @classmethod
+    def _of_sorted(cls, vertices: np.ndarray) -> "CliqueSet":
+        """The set of ascending distinct indices, such as np.flatnonzero
+        returns, taken as they are: __post_init__ would sort them again."""
+        clique = object.__new__(cls)
+        object.__setattr__(clique, "vertices", tuple(vertices.tolist()))
+        return clique
 
     def indicator(self, n: int) -> np.ndarray:
         u = np.zeros(n)
@@ -859,7 +916,11 @@ class CliqueSet:
 
 
 def _as_vertex_array(g: Graph, s: Iterable[int]) -> np.ndarray:
-    arr = _sorted_distinct(np.asarray(list(s), dtype=np.int64))
+    """s as ascending distinct int64 indices, each in [0, n).  An int64
+    vector is taken without a round trip through Python ints."""
+    if not (isinstance(s, np.ndarray) and s.dtype == np.int64 and s.ndim == 1):
+        s = np.asarray(list(s), dtype=np.int64)
+    arr = _sorted_distinct(s)
     if arr.size and (arr[0] < 0 or arr[-1] >= g.n):
         bad = int(arr[0] if arr[0] < 0 else arr[-1])
         raise ValueError(f"vertex {bad} out of range for graph with {g.n} vertices")

@@ -21,17 +21,25 @@ M_d is never materialized: M_d u = (1 + d) (A u + u) - d * sum(u) needs
 one product A u from Graph.adj_matvec.  That is one pass over the
 graph's stored operator: the dense 0/1 matrix of A on graphs near half
 density, else a sparse pass over A or, on graphs with more than half of
-all pairs as edges, over the sparser non-edge adjacency.  Each iteration
-makes one pass, A p along its chord, and SolverState carries A u + t A p
-to the next iterate.
+all pairs as edges, over the sparser non-edge adjacency.  The graph
+binds the pass's kernel once, on its first pass: the blocked dgemv over
+the dense matrix, or scipy's csr_matvec over the CSR arrays without the
+dispatch of @.  Each iteration makes one pass, A p along its chord, and
+SolverState carries A u + t A p to the next iterate.
 
 Besides that pass a step makes eight reductions: u.u, sum(u) and
 u.(M_d u) for the objective, then u.p, p.p, sum(p), u.(A p) and p.(A p)
 for the chord's quartic.  Its vectors are updated in place, in the
 operand order of the plain formulas, so the iterates are bit for bit
 those of the formulas as written.  Inner products use ndarray.dot, the
-BLAS ddot of @ without the matmul dispatch, and boolean reductions
-np.count_nonzero, which skips ndarray.any's Python layer.
+BLAS ddot of @ without the matmul dispatch, sums np.add.reduce, the
+pairwise sum of ndarray.sum without its Python layer, and boolean
+reductions np.count_nonzero, which skips ndarray.any's.
+
+A rounding is certified as an index array: the sorted int64
+np.flatnonzero(u > 0.5), compared with the last one checked and handed
+to is_maximal_clique as it is; the result's CliqueSet is built once,
+from the certified array.
 """
 
 from __future__ import annotations
@@ -97,7 +105,7 @@ class SolverConfig:
             raise ValueError(f"max_outer_iterations must be an integer of at least 1, got {m!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ArmijoStep:
     """Diagnostics of one outer iteration's line search.  There is one
     chord evaluation per iteration, so trials is always 1.  u, the new
@@ -111,6 +119,12 @@ class ArmijoStep:
     accepted: bool
     u: np.ndarray | None = None
     trials: ClassVar[int] = 1
+
+    def __init__(self, d: float, alpha_used: float, f_old: float, f_new: float, accepted: bool,
+                 u: np.ndarray | None = None):
+        # one write into the instance dict; the generated frozen __init__
+        # makes one object.__setattr__ call per field, once per iteration
+        self.__dict__.update(d=d, alpha_used=alpha_used, f_old=f_old, f_new=f_new, accepted=accepted, u=u)
 
 
 @dataclass
@@ -173,7 +187,7 @@ def md_norm_sq(g: Graph, d: float) -> float:
 def _md_product(d: float, u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float]:
     """(M_d u, sum(u)) from the adjacency product au = A u:
     (1 + d) (au + u) - d sum(u), in one new array."""
-    su = float(u.sum())
+    su = float(np.add.reduce(u))
     mdu = np.add(au, u)
     mdu *= 1.0 + d
     mdu -= d * su
@@ -281,13 +295,15 @@ def _chord_minimizer(q1: float, q2: float, q3: float, q4: float) -> float:
     """The t in [0, 1] minimizing q1 t + q2 t^2 + q3 t^3 + q4 t^4, or 0
     when no t in (0, 1] lowers it.  The candidates are 1, the critical
     points, and -q1 / (2 q2), which stays accurate on short chords."""
-    ts = [1.0]
-    if q2 > 0.0:
-        ts.append(-q1 / (2.0 * q2))
-    if q4 > 0.0:
-        ts += _cubic_roots(0.75 * q3 / q4, 0.5 * q2 / q4, 0.25 * q1 / q4)
+    roots = _cubic_roots(0.75 * q3 / q4, 0.5 * q2 / q4, 0.25 * q1 / q4) if q4 > 0.0 else ()
     # ties go to the smaller t, so t = 0 wins unless some t lowers the quartic
-    return min([(0.0, 0.0)] + [(_quartic(t, q1, q2, q3, q4), t) for t in ts if 0.0 < t <= 1.0])[1]
+    best_f = best_t = 0.0
+    for t in (1.0, -q1 / (2.0 * q2) if q2 > 0.0 else 0.0, *roots):
+        if 0.0 < t <= 1.0:
+            f = t * (q1 + t * (q2 + t * (q3 + t * q4)))
+            if f < best_f or (f == best_f and t < best_t):
+                best_f, best_t = f, t
+    return best_t
 
 
 def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
@@ -318,7 +334,7 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     np.maximum(cand, 0.0, out=cand)
     p = cand - u
     ap = g.adj_matvec(p)
-    up, pp, sp = float(u.dot(p)), float(p.dot(p)), float(p.sum())
+    up, pp, sp = float(u.dot(p)), float(p.dot(p)), float(np.add.reduce(p))
     u_md_p = (1.0 + d) * (float(u.dot(ap)) + up) - d * su * sp
     p_md_p = (1.0 + d) * (float(p.dot(ap)) + pp) - d * sp * sp
     q = (2.0 * (uu * up - u_md_p), 2.0 * up * up + pp * uu - p_md_p, 2.0 * up * pp, 0.5 * pp * pp)
@@ -358,7 +374,7 @@ def _is_binary(u: np.ndarray, cfg: SolverConfig) -> bool:
     # u >= 0, so every coordinate is in a band when none lies strictly
     # between them and none lies above the upper one
     tol = cfg.binary_tol
-    return not np.count_nonzero((u > tol) & (u < 1.0 - tol)) and float(u.max()) <= 1.0 + tol
+    return not np.count_nonzero((u > tol) & (u < 1.0 - tol)) and float(np.maximum.reduce(u)) <= 1.0 + tol
 
 
 def solve(
@@ -409,7 +425,9 @@ def solve(
     trace: list[float] = []
     iterates: list[ArmijoStep] | None = [] if record_iterates else None
     converged = False
-    checked = None  # the last rounding checked; it was not maximal
+    # the last rounding checked, as the sorted indices of round_phi's
+    # ones; it was not maximal
+    checked = None
     while not converged and state.iteration < cfg.max_outer_iterations:
         state = armijo_outer_iteration(g, state)
         assert state.last_step is not None
@@ -417,20 +435,20 @@ def solve(
         if iterates is not None:
             iterates.append(replace(state.last_step, u=state.u.copy()))
         if _is_binary(state.u, cfg):
-            clique = CliqueSet.from_indicator(round_phi(state.u))
-            if clique != checked:
-                checked = clique
-                converged = is_maximal_clique(g, clique.vertices)
+            rounded = np.flatnonzero(state.u > 0.5)
+            if checked is None or not np.array_equal(rounded, checked):
+                checked = rounded
+                converged = is_maximal_clique(g, rounded)
 
     if converged:
         valid = maximal = True
     else:
-        clique = CliqueSet.from_indicator(round_phi(state.u))
-        valid, extenders = _clique_check(g, clique.vertices)
+        rounded = np.flatnonzero(state.u > 0.5)
+        valid, extenders = _clique_check(g, rounded)
         maximal = valid and not extenders.any()
     return SolverResult(
         u_final=state.u,
-        clique=clique,
+        clique=CliqueSet._of_sorted(rounded),
         converged=converged,
         iterations=state.iteration,
         objective_trace=trace,

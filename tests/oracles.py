@@ -143,6 +143,21 @@ def chord_quartic_dense(md: np.ndarray, u: np.ndarray, p: np.ndarray) -> tuple[f
     )
 
 
+def chord_minimizer_by_pairs(q1: float, q2: float, q3: float, q4: float) -> float:
+    """solver._chord_minimizer written as the min of (value, t) pairs over
+    a list of candidates, with (0, 0) first: the same candidates from the
+    same root finder, so ties go to the smaller t and t = 0 wins unless
+    some t lowers the quartic."""
+    from rankclique.solver import _cubic_roots, _quartic
+
+    ts = [1.0]
+    if q2 > 0.0:
+        ts.append(-q1 / (2.0 * q2))
+    if q4 > 0.0:
+        ts += _cubic_roots(0.75 * q3 / q4, 0.5 * q2 / q4, 0.25 * q1 / q4)
+    return min([(0.0, 0.0)] + [(_quartic(t, q1, q2, q3, q4), t) for t in ts if 0.0 < t <= 1.0])[1]
+
+
 def plain_chord_step(g, u, au, d, alpha):
     """One solver iteration as plain array formulas, each building a new
     array: (u, A u, d, alpha, f_new) after the step.  It makes the same

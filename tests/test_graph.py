@@ -23,6 +23,7 @@ from rankclique import (
     DimacsFormatError,
     DimacsWarning,
     EdgeRangeError,
+    SolverConfig,
     cooccurrence_graph,
     extend_to_maximal,
     graph_from_edge_list,
@@ -32,8 +33,9 @@ from rankclique import (
     random_graph,
     read_dimacs,
     serialize_dimacs,
+    solve,
 )
-from conftest import small_random_graphs
+from conftest import small_random_graphs, stored_form_graphs
 from oracles import (
     cooccurrence_reference,
     dense_adjacency,
@@ -255,6 +257,50 @@ class TestAdjacencyOperator:
             assert complement == (non_edges < 2 * m)
             assert op.nnz == min(2 * m, non_edges) and np.all(op.data == 1.0)
             assert np.array_equal(op.toarray(), 1.0 - np.eye(n) - a if complement else a)
+
+    @staticmethod
+    def _dispatched_pass(op, complement: bool, u: np.ndarray) -> np.ndarray:
+        # the reference: the pass through @ (or the row blocks of
+        # _dense_pass), dispatched on every call
+        au = graph_module._dense_pass(op, u) if isinstance(op, np.ndarray) else op @ u
+        return np.subtract(float(u.sum()) - u, au, out=au) if complement else au
+
+    @staticmethod
+    def _pass_vectors(n: int, seed: int) -> list[np.ndarray]:
+        # dense vectors, 0/1 indicators, and chords: a few signed entries
+        # on a small support, as the solver's p = [u - alpha g]_+ - u
+        rng = np.random.default_rng(seed)
+        out = [rng.random(n), rng.standard_normal(n) * 1e3, (rng.random(n) < 0.3).astype(np.float64)]
+        for share in (0.01, 0.05, 0.2):
+            p = np.zeros(n)
+            support = rng.choice(n, size=max(1, round(share * n)), replace=False)
+            p[support] = rng.standard_normal(len(support)) * 10.0 ** rng.uniform(-8, 0, len(support))
+            out.append(p)
+        return out
+
+    @pytest.mark.parametrize("form", ["csr_of_a", "csr_of_complement", "dense"])
+    def test_bound_kernel_gives_the_bytes_of_the_dispatched_pass(self, form):
+        g = stored_form_graphs()[form]
+        op, complement = g._stored_operator
+        for u in self._pass_vectors(g.n, 3):
+            want = (op @ u) if not complement else (float(u.sum()) - u) - op @ u
+            assert g.adj_matvec(u).tobytes() == want.tobytes()
+            assert g._pass(u).tobytes() == self._dispatched_pass(op, complement, u).tobytes()
+        # a strided view is read as its values
+        u = np.random.default_rng(4).random(2 * g.n)[::2]
+        assert g.adj_matvec(u).tobytes() == self._dispatched_pass(op, complement, u).tobytes()
+
+    def test_bound_kernel_over_several_dgemv_blocks(self):
+        # at n = 700 the dense form splits into two row blocks of 374 and
+        # 326 rows, each one dgemv
+        g = random_graph(700, 0.5, 2)
+        op, complement = g._stored_operator
+        assert isinstance(op, np.ndarray) and not complement
+        rows = graph_module._GEMV_ENTRIES // g.n
+        assert rows < g.n
+        for u in self._pass_vectors(g.n, 5):
+            blocks = np.concatenate([op[lo:lo + rows] @ u for lo in range(0, g.n, rows)])
+            assert g.adj_matvec(u).tobytes() == blocks.tobytes()
 
     def test_dense_pass_does_not_depend_on_the_blas_thread_count(self):
         # the dense form of a 700-vertex graph has 490,000 entries, enough
@@ -714,6 +760,31 @@ class TestRandomGraph:
             tracemalloc.stop()
         assert peak <= 6 * n * n + g.indices.nbytes
 
+    def test_oversized_graph_is_refused_before_drawing(self):
+        # a million vertices would take 4 TB of draws: nothing is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bytes for its draws and bitmap"):
+                random_graph(10**6, 0.5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_memory_bound_admits_what_the_repository_draws(self):
+        # the largest n whose draws and bitmap fit, and the first refused;
+        # the tools draw up to n = 4000
+        def need(n):
+            return 8 * (n * (n - 1) // 2) + n * n
+
+        assert need(4000) <= graph_module.MAX_RANDOM_GRAPH_BYTES
+        n = 14_654
+        assert need(n) <= graph_module.MAX_RANDOM_GRAPH_BYTES < need(n + 1)
+        with pytest.raises(ValueError, match=f"random graph on {n + 1} vertices"):
+            random_graph(n + 1, 0.5, 0)
+        with pytest.raises(ValueError, match="on 10000000000 vertices"):
+            random_graph(np.int64(10**10), 0.5, 0)
+
 
 class TestCoordinateMatrix:
     def test_parse_toy(self):
@@ -994,8 +1065,47 @@ class TestCliquePredicates:
         assert is_clique(k3, [0, 0, 1])
         assert is_maximal_clique(k3, [0, 1, 1, 2])
 
+    def test_index_arrays_answer_as_tuples(self):
+        # solve passes np.flatnonzero's int64 array; it must be read as
+        # the tuple of the same vertices, unsorted and repeated ones too
+        rng = np.random.default_rng(8)
+        for g in [*small_random_graphs(12, seed0=500), random_graph(120, 0.85, 7), random_graph(120, 0.5, 7)]:
+            cliques = [res.clique.vertices for res in (solve(g, SolverConfig(seed=s)) for s in range(2))]
+            subsets = cliques + [c[:-1] for c in cliques] + [()]
+            subsets += [tuple(rng.choice(g.n, size=k).tolist()) for k in (1, 3, g.n // 2)]
+            for vs in subsets:
+                arr = np.array(vs, dtype=np.int64)
+                kept = arr.copy()
+                want = graph_module._clique_check(g, vs)
+                got = graph_module._clique_check(g, arr)
+                assert got[0] == want[0] and np.array_equal(got[1], want[1])
+                assert is_maximal_clique(g, arr) == is_maximal_clique(g, vs)
+                assert is_clique(g, arr[::-1]) == is_clique(g, vs)
+                assert np.array_equal(arr, kept)  # the caller's array is left as it was
+
+    @pytest.mark.parametrize(
+        "vs, bad",
+        [((0, 5), 5), ((-1, 0), -1), ((2, 1, 3), 3), ((5, 5), 5), ((4, -2, 1), -2)],
+        ids=["above", "below", "unsorted", "repeated", "both"],
+    )
+    def test_out_of_range_index_arrays_are_refused_as_tuples(self, k3, vs, bad):
+        for s in (vs, np.array(vs, dtype=np.int64)):
+            with pytest.raises(ValueError, match=f"vertex {bad} out of range for graph with 3 vertices"):
+                is_maximal_clique(k3, s)
+
+    def test_unsorted_and_repeated_index_arrays_are_collapsed(self, k3):
+        assert is_clique(k3, np.array([1, 0, 0], dtype=np.int64))
+        assert is_maximal_clique(k3, np.array([2, 1, 1, 0], dtype=np.int64))
+        assert not is_maximal_clique(k3, np.array([1, 1, 0], dtype=np.int64))
+
 
 class TestCliqueSet:
+    def test_of_sorted_equals_the_checked_constructor(self):
+        vertices = np.flatnonzero(np.random.default_rng(1).random(300) > 0.4)
+        c = CliqueSet._of_sorted(vertices)
+        assert c == CliqueSet(tuple(vertices.tolist()))
+        assert all(type(v) is int for v in c.vertices)
+
     def test_sorts_and_dedups(self):
         c = CliqueSet((3, 1, 3, 2))
         assert c.vertices == (1, 2, 3)

@@ -415,6 +415,15 @@ class TestCli:
         assert main(["solve", "--random", "n=10,rho=0.5"]) == 1
         assert "unknown --random fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--random", "n=1000000,density=0.5"], ["bench-random", "--n", "1000000", "--trials", "1"]],
+        ids=["solve", "bench-random"],
+    )
+    def test_oversized_random_graph_exits_nonzero(self, argv, capsys):
+        assert main(argv) == 1
+        assert "bytes for its draws and bitmap" in capsys.readouterr().err
+
     def test_bench_random(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main([

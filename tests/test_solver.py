@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import rankclique.solver as solver_module
+
 from rankclique import (
     EdgelessGraphError,
     Graph,
@@ -39,6 +41,7 @@ from rankclique.solver import (
 from conftest import small_random_graphs, stored_form_graphs
 from oracles import (
     central_diff_gradient,
+    chord_minimizer_by_pairs,
     chord_quartic_dense,
     dense_adjacency,
     dense_md,
@@ -308,6 +311,7 @@ class TestLeanStep:
         row = json.loads(out)
         assert row["solver_iterations"] > 0
         assert row["solver_us_per_iteration"] > 0 and row["baseline_us_per_iteration"] > 0
+        assert row["solver_us_per_solve_outside_steps"] > 0
         assert 0 < row["solver_adj_matvec_share"] < 1 and 0 < row["baseline_adj_matvec_share"] < 1
 
 
@@ -360,6 +364,41 @@ class TestChordMinimizer:
         assert _chord_minimizer(0.0, 0.0, 0.0, 0.0) == 0.0
         assert _chord_minimizer(1.0, 1.0, 0.0, 1.0) == 0.0
         assert _chord_minimizer(-1.0, 0.0, 0.0, 0.1) == 1.0
+
+    def test_same_choice_as_the_min_over_pairs(self):
+        # the families above, quartics with ties, and coefficients of
+        # every sign and scale, including ones no step produces
+        rng = np.random.default_rng(14)
+        cases = [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 1.0), (-1.0, 0.0, 0.0, 0.1),
+                 (-1.0, 1.0, 0.0, 0.0), (-2.0, 1.0, 0.0, 0.0), (0.0, -1.0, 1.0, 0.0), (-1.0, 0.5, 0.0, 0.0)]
+        for _ in range(2000):
+            s = 10.0 ** rng.uniform(-6.0, 6.0, size=4)
+            cases.append((*(rng.standard_normal(3) * s[:3]), abs(rng.standard_normal()) * s[3]))
+            r1, r2, r3 = np.sort(rng.uniform(-0.5, 1.5, 3))
+            q4 = 10.0 ** rng.uniform(-3.0, 3.0)
+            cases.append((-4.0 * q4 * r1 * r2 * r3, 2.0 * q4 * (r1 * r2 + r1 * r3 + r2 * r3),
+                          -4.0 / 3.0 * q4 * (r1 + r2 + r3), q4))
+            cases.append(tuple(rng.standard_normal(4) * (rng.random(4) < 0.6)))
+        for q in cases:
+            q = tuple(map(float, q))
+            assert _bits(_chord_minimizer(*q)) == _bits(chord_minimizer_by_pairs(*q)), q
+
+    def test_same_choice_on_the_steps_of_solves(self, monkeypatch):
+        # every quartic that the step meets in solves on each stored form
+        seen = []
+
+        def recorded(*q):
+            t = _chord_minimizer(*q)
+            seen.append((q, t))
+            return t
+
+        monkeypatch.setattr(solver_module, "_chord_minimizer", recorded)
+        for g in stored_form_graphs().values():
+            for seed in range(3):
+                solve(g, SolverConfig(seed=seed))
+        assert len(seen) > 100
+        assert all(t == chord_minimizer_by_pairs(*q) for q, t in seen)
+        assert {t == 1.0 for _, t in seen} == {True, False}  # full steps and interior minima
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(

@@ -7,17 +7,21 @@ first 800-document text-cooc graph at threshold 2 as perfbench builds it
 for seed 1, and hamming10_2) this runs default-config solves from
 several seeds and both baselines from their fixed starts, and prints
 the median microseconds per iteration of each with the share of that
-time spent inside Graph.adj_matvec.  BLAS runs on one thread, as in
-perfbench.
+time spent inside Graph.adj_matvec, and a solve's fixed cost: the median
+microseconds per solve spent outside its steps.  BLAS runs on one
+thread, as in perfbench.
 
 A solver iteration is one call of solver.armijo_outer_iteration, which
 solve looks up on the module, so each call is timed on its own and the
-table gives the median over all iterations of all solves.  run_baseline
-keeps its loop inside, so a baseline iteration is a run's time over its
-iteration count, and the table gives the median over repeated runs of
-pelillo and ding.  Graph.adj_matvec is wrapped with a timer for the
-shares; the wrapper adds two clock reads per pass to both sides of the
-share.  Prints one JSON object.
+table gives the median over all iterations of all solves.  The time a
+solve spends outside them is its own time less that of its steps: the
+start (the random vector, its pass and alpha0), the band test after
+each step, and the certification of roundings, with their passes.
+run_baseline keeps its loop inside, so a baseline iteration is a run's
+time over its iteration count, and the table gives the median over
+repeated runs of pelillo and ding.  Graph.adj_matvec is wrapped with a
+timer for the shares; the wrapper adds two clock reads per pass to both
+sides of the share.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -108,11 +112,17 @@ def solver_cost(g: Graph) -> dict:
     # the last repeat is kept; the earlier ones warm caches up
     for _ in range(REPEATS):
         with Timers() as timers:
-            iterations = sum(solver.solve(g, solver.SolverConfig(seed=s)).iterations for s in SOLVER_SEEDS)
+            iterations, outside_s = 0, []
+            for s in SOLVER_SEEDS:
+                steps = len(timers.step_s)
+                t0 = time.perf_counter()
+                iterations += solver.solve(g, solver.SolverConfig(seed=s)).iterations
+                outside_s.append(time.perf_counter() - t0 - sum(timers.step_s[steps:]))
     return {
         "solver_iterations": iterations,
         "solver_us_per_iteration": round(statistics.median(timers.step_s) * 1e6, 1),
         "solver_adj_matvec_share": round(timers.step_pass_s / sum(timers.step_s), 3),
+        "solver_us_per_solve_outside_steps": round(statistics.median(outside_s) * 1e6, 1),
     }
 
 

@@ -6,11 +6,12 @@ and for the two ways graph.py builds a graph from pairs.
 Pass table: for each vertex count n and each share f of the n² entries,
 builds a few random graphs whose edges hold about that share (the
 sparser of A and Ā at f = 0.50 is A or Ā by a few entries) and times
-one adj_matvec pass with each form, as adj_matvec makes it: the dense
-float64 0/1 matrix of A (one dgemv per row block) and the CSR that the
-sparser-side rule stores.  Each cell reports the medians over its
-graphs of the times and of their ratio, sparse / dense (above 1 the
-dense pass is faster).
+one pass with each form through the kernel that adj_matvec binds to it
+(graph._bound_pass): the dense float64 0/1 matrix of A (one dgemv per
+row block) and the CSR that the sparser-side rule stores, with the
+complement correction when that is Ā.  Each cell reports the medians
+over its graphs of the times and of their ratio, sparse / dense (above
+1 the dense pass is faster).
 
 Build table: for each n and each ratio r = n²/pairs, draws one set of
 n²/r dirty pairs (uniform over [0, n)², so with self-loops, repeats and
@@ -45,7 +46,7 @@ import scipy
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rankclique.graph import (  # noqa: E402
-    Graph, _complement_structure, _csr, _dense_adjacency, _dense_pass, _graph_of_keys, _marked_keys, _sorted_keys,
+    Graph, _bound_pass, _complement_structure, _csr, _dense_adjacency, _graph_of_keys, _marked_keys, _sorted_keys,
 )
 
 SIZES = (100, 400, 1000, 2000, 4000)
@@ -80,27 +81,17 @@ def per_pass(product, u: np.ndarray, passes: int) -> float:
 
 
 def one_graph(n: int, share: float, seed: int, batches: int = BATCHES) -> dict:
-    """Times per pass of the two forms on one graph, as adj_matvec makes
-    them: _dense_pass over the dense matrix, and the CSR product with the
-    complement correction when the sparser side is Ā."""
+    """Times per pass of the two forms on one graph, each through the
+    kernel adj_matvec binds to it: _dense_pass over the dense matrix, and
+    the CSR pass with the complement correction when the sparser side is Ā."""
     g = half_dense_graph(n, share, seed)
     stored = 2 * g.edge_count
     non_edges = n * (n - 1) - stored
     if non_edges < stored:
-        a_bar = _csr(n, *_complement_structure(g))
-
-        def sparse(u):
-            return (float(u.sum()) - u) - a_bar @ u
+        sparse = _bound_pass(_csr(n, *_complement_structure(g)), True)
     else:
-        a_csr = _csr(n, g.indptr, g.indices)
-
-        def sparse(u):
-            return a_csr @ u
-
-    a_dense = _dense_adjacency(g)
-
-    def dense(u):
-        return _dense_pass(a_dense, u)
+        sparse = _bound_pass(_csr(n, g.indptr, g.indices), False)
+    dense = _bound_pass(_dense_adjacency(g), False)
 
     u = np.random.default_rng(seed).random(n)
     assert np.allclose(sparse(u), dense(u))
