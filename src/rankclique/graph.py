@@ -39,9 +39,14 @@ The 9/20 comes from a crossover table (tools/operator_crossover.py,
 committed in BENCH_9.json, re-run in README with the bound kernels) of
 dense against sparse passes for n from 100 to 4000: at that share the
 dense pass is faster up to n = 1000, while at n = 2000 and 4000 it
-ranges from 6% slower to 14% faster over three runs of the table.  The
+ranges from 6% slower to 14% faster over four runs of the table.  The
 operator is built on the first pass, not at ingest, and so is the
-kernel that makes the pass over it (_bound_pass).
+kernel that makes the pass over it (_bound_pass).  Either build writes
+the graph's entries into its n x n array one block of keys at a time
+(_scatter_entries), so the first pass's working memory is the stored
+form plus one block: on hamming10_2 (the Ā form) its traced peak is
+1.6 MB over the graph's arrays, the 1 MB bitmap and a 0.5 MB block,
+where one key per stored entry of A took 9.4 MB.
 """
 
 from __future__ import annotations
@@ -141,7 +146,7 @@ class Graph:
           bytes per entry in order, a CSR pass 12 per stored entry plus a
           gather of u through them.  In the crossover tables of
           BENCH_9.json and README (n from 100 to 4000, BLAS on one
-          thread, three runs) the dense pass at 9/20 is 1.08-2.45x as
+          thread, four runs) the dense pass at 9/20 is 1.03-2.45x as
           fast for n <= 1000, but from 6% slower to 14% faster at
           n = 2000 and 4000, so near the lower edge of the band it is
           not always the faster form; at 7/20 it is up to 26% slower.
@@ -150,6 +155,10 @@ class Graph:
         * else the 0/1 CSR of Ā when it has fewer entries than A
           (4·edge_count > n(n-1));
         * else the 0/1 CSR of A (a tie between A and Ā keeps A).
+
+        Building the dense form, or Ā through its n² byte bitmap, takes
+        one block of _SCATTER_ENTRIES keys (0.5 MB) on top of that
+        array, whatever the graph's size (see _scatter_entries).
         """
         n, stored = self.n, 2 * self.edge_count
         non_edges = n * (n - 1) - stored
@@ -235,31 +244,51 @@ def _csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _flat_keys(g: Graph) -> np.ndarray:
-    """The flat positions v*n + w of g's 2m stored entries, ascending."""
-    keys = np.repeat(np.arange(g.n, dtype=np.int64) * g.n, np.diff(g.indptr))
-    keys += g.indices
-    return keys
+# _scatter_entries writes this many of a graph's stored entries at a
+# time: 0.5 MB of int64 keys, next to the n² or 8n² bytes of the form
+# being built.
+_SCATTER_ENTRIES = 1 << 16
+
+
+def _scatter_entries(g: Graph, flat: np.ndarray, value: bool | float) -> None:
+    """Writes value at the flat positions v*n + w of g's 2m stored entries
+    in flat, a view of an n x n array, _SCATTER_ENTRIES entries at a time.
+
+    Each block takes the rows its entries lie in, the first and last of
+    them clipped to the block, so a block of keys is all that is held
+    next to flat, however long a row is.
+    """
+    n, indptr = g.n, g.indptr
+    for lo in range(0, len(g.indices), _SCATTER_ENTRIES):
+        hi = min(lo + _SCATTER_ENTRIES, len(g.indices))
+        first = int(np.searchsorted(indptr, lo, side="right")) - 1
+        last = int(np.searchsorted(indptr, hi - 1, side="right"))
+        counts = np.diff(np.clip(indptr[first:last + 1], lo, hi))
+        keys = np.repeat(np.arange(first * n, last * n, n, dtype=np.int64), counts)
+        keys += g.indices[lo:hi]
+        flat[keys] = value
+        del keys
 
 
 def _dense_adjacency(g: Graph) -> np.ndarray:
-    """A as a dense float64 0/1 matrix, written in one scatter."""
+    """A as a dense float64 0/1 matrix, its ones scattered a block of
+    entries at a time."""
     a = np.zeros((g.n, g.n))
-    a.reshape(-1)[_flat_keys(g)] = 1.0
+    _scatter_entries(g, a.reshape(-1), 1.0)
     return a
 
 
 def _complement_structure(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """indptr and indices of Ā, the non-edges of g without the diagonal.
 
-    Marks the non-edges in an n x n bitmap through the flat keys of g's
-    entries.  Taken only when Ā has fewer entries than A, so neither the
-    key array nor Ā's own is longer than g.indices.
+    Clears g's entries, a block at a time, from an n x n bitmap of ones
+    and reads the non-edges back.  Taken only when Ā has fewer entries
+    than A, so Ā's keys are fewer than g.indices.
     """
     n = g.n
     mask = np.ones((n, n), dtype=bool)
     np.fill_diagonal(mask, False)
-    mask.reshape(-1)[_flat_keys(g)] = False
+    _scatter_entries(g, mask.reshape(-1), False)
     return _structure(n, np.flatnonzero(mask))
 
 

@@ -88,6 +88,26 @@ def graph_arrays_reference(n: int, pairs) -> tuple[np.ndarray, np.ndarray, int]:
     return indptr, dst[order], len(key)
 
 
+def hamming_graph(bits: int, d: int):
+    """The DIMACS instance hamming{bits}-{d}: the bits-bit words, vertex v
+    being word v, adjacent at Hamming distance >= d."""
+    return _distance_graph(np.arange(2**bits, dtype=np.int64), d)
+
+
+def johnson_graph(n: int, w: int, d: int):
+    """The DIMACS instance johnson{n}-{w}-{d}: the n-bit words of weight
+    w in ascending order, adjacent at Hamming distance >= d."""
+    words = sorted(sum(1 << i for i in c) for c in combinations(range(n), w))
+    return _distance_graph(np.array(words, dtype=np.int64), d)
+
+
+def _distance_graph(words: np.ndarray, d: int):
+    from rankclique import graph_from_edge_list
+
+    far = np.bitwise_count(words[:, None] ^ words[None, :]) >= d
+    return graph_from_edge_list(len(words), np.column_stack(np.nonzero(np.triu(far, 1))))
+
+
 def random_graph_reference(n: int, density: float, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(indptr, indices, edge_count) of random_graph(n, density, seed),
     drawing one uniform per pair of np.triu_indices(n, 1), in that order,

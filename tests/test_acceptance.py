@@ -25,7 +25,6 @@ from rankclique import (
     cmd_solve,
     d_max,
     enumerate_maximal_cliques,
-    graph_from_edge_list,
     maximum_clique_exact,
     random_graph,
     read_dimacs,
@@ -34,7 +33,7 @@ from rankclique import (
 )
 from rankclique.baselines import ding_step, pelillo_step
 from rankclique.solver import gradient, md_norm_sq, objective_shifted, round_phi
-from oracles import central_diff_gradient
+from oracles import central_diff_gradient, hamming_graph
 
 
 def _report(num: int, label: str, passed: bool, detail: str, t0: float) -> str:
@@ -309,7 +308,7 @@ class TestAcceptance:
 
     def test_07c_hamming10_2(self):
         t0 = time.perf_counter()
-        g = _hamming10_2()
+        g = hamming_graph(10, 2)
         assert g.n == 1024 and g.edge_count == 518656
         run_t0 = time.perf_counter()
         res = solve(g, SolverConfig(seed=0))
@@ -459,11 +458,3 @@ def _dimacs_fixture(name: str) -> Path | None:
             return p
     return None
 
-
-def _hamming10_2() -> Graph:
-    """All 10-bit words, adjacent when their Hamming distance is >= 2."""
-    popcount = np.array([bin(i).count("1") for i in range(1024)], dtype=np.int64)
-    words = np.arange(1024, dtype=np.int64)
-    dist = popcount[words[:, None] ^ words[None, :]]
-    ii, jj = np.nonzero(np.triu(dist >= 2, 1))
-    return graph_from_edge_list(1024, np.column_stack([ii, jj]))

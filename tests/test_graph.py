@@ -42,6 +42,7 @@ from oracles import (
     dimacs_text_reference,
     exhaustive_maximal_cliques,
     graph_arrays_reference,
+    hamming_graph,
     random_graph_reference,
     subset_is_clique,
 )
@@ -344,8 +345,75 @@ class TestAdjacencyOperator:
         row, build = json.loads(out)
         assert 0.44 < row["sparser_side_share"] < 0.47 and row["sparse_side"] == "A"
         assert row["dense_us"] > 0 and row["sparse_us"] > 0
+        assert row["dense_build_bytes_over_form"] > 0 and row["sparse_build_bytes_over_form"] >= 0
         assert (build["n"], build["n2_over_pairs"], build["pairs"]) == (60, 4, 900)
         assert build["sort_ms"] > 0 and build["bitmap_ms"] > 0
+
+
+class TestOperatorBuild:
+    """The stored forms are built by scattering a graph's entries one
+    block of keys at a time, so the first pass holds the form and one
+    block, and no key array over the whole graph."""
+
+    @staticmethod
+    def _graphs() -> list:
+        return [
+            *stored_form_graphs().values(),
+            *small_random_graphs(8, seed0=500, n_lo=1, n_hi=40),
+            random_graph(0, 0.5, 0),
+            random_graph(60, 0.05, 3),  # isolated vertices: empty rows
+        ]
+
+    @pytest.mark.parametrize("budget", [5, 97, None])
+    def test_builds_match_the_dense_reference(self, budget):
+        # a block of 5 entries splits most rows, and holds several of
+        # the shortest
+        with mock.patch.object(graph_module, "_SCATTER_ENTRIES", budget or graph_module._SCATTER_ENTRIES):
+            for g in self._graphs():
+                self._assert_builds_match(g)
+
+    def test_builds_of_hamming10_2_match_the_dense_reference(self):
+        g = hamming_graph(10, 2)
+        assert len(g.indices) > 10 * graph_module._SCATTER_ENTRIES
+        self._assert_builds_match(g)
+
+    @staticmethod
+    def _assert_builds_match(g):
+        a = dense_adjacency(g)
+        assert graph_module._dense_adjacency(g).tobytes() == a.tobytes()
+        complement = (1.0 - np.eye(g.n) - a).astype(bool)
+        indptr, indices = graph_module._complement_structure(g)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(complement.sum(axis=1))]))
+        assert np.array_equal(indices, np.nonzero(complement)[1])
+
+    @staticmethod
+    def _first_pass_peak(g) -> int:
+        u = np.ones(g.n)
+        tracemalloc.start()
+        try:
+            g.adj_matvec(u)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_first_pass_on_hamming10_2_holds_one_block(self):
+        # the Ā form: an n² byte bitmap (1 MiB), one block of keys (0.5
+        # MiB) and Ā's 10,240 entries, where one key per stored entry of
+        # A would add 8.3 MB
+        g = hamming_graph(10, 2)
+        peak = self._first_pass_peak(g)
+        op, complement = g._stored_operator
+        assert complement and len(g.indices) == 1_037_312 and op.nnz == 10_240
+        assert peak <= 3 * 2**20
+
+    def test_first_pass_on_a_dense_graph_holds_one_block(self):
+        # the dense form's 8n² bytes and one block of keys, where one key
+        # per stored entry would add 4 MB
+        g = random_graph(1000, 0.5, 1)
+        peak = self._first_pass_peak(g)
+        assert isinstance(g._stored_operator[0], np.ndarray)
+        assert peak <= 8 * g.n * g.n + 2 * 2**20
 
 
 class TestDimacs:

@@ -11,7 +11,7 @@ from rankclique import (
 )
 from rankclique import oracle
 from conftest import small_random_graphs
-from oracles import dense_adjacency, exhaustive_maximal_cliques
+from oracles import dense_adjacency, exhaustive_maximal_cliques, hamming_graph, johnson_graph
 
 # Petersen graph: triangle-free and 3-regular, so its maximal cliques
 # are exactly its 15 edges.
@@ -96,3 +96,28 @@ class TestLimits:
         with pytest.raises(OracleLimitError, match="smaller instance"):
             enumerate_maximal_cliques(g)
 
+
+
+class TestGeneratedFamilies:
+    """The hamming and johnson DIMACS instances, generated from their
+    definitions, have the vertex and edge counts of the published files'
+    headers."""
+
+    @pytest.mark.parametrize(
+        "family, args, n, m",
+        [
+            pytest.param(hamming_graph, (6, 2), 64, 1824, id="hamming6-2"),
+            pytest.param(hamming_graph, (6, 4), 64, 704, id="hamming6-4"),
+            pytest.param(hamming_graph, (8, 2), 256, 31616, id="hamming8-2"),
+            pytest.param(hamming_graph, (8, 4), 256, 20864, id="hamming8-4"),
+            pytest.param(hamming_graph, (10, 2), 1024, 518656, id="hamming10-2"),
+            pytest.param(hamming_graph, (10, 4), 1024, 434176, id="hamming10-4"),
+            pytest.param(johnson_graph, (8, 2, 4), 28, 210, id="johnson8-2-4"),
+            pytest.param(johnson_graph, (8, 4, 4), 70, 1855, id="johnson8-4-4"),
+            pytest.param(johnson_graph, (16, 2, 4), 120, 5460, id="johnson16-2-4"),
+            pytest.param(johnson_graph, (32, 2, 4), 496, 107880, id="johnson32-2-4"),
+        ],
+    )
+    def test_counts_match_the_dimacs_headers(self, family, args, n, m):
+        g = family(*args)
+        assert (g.n, g.edge_count) == (n, m)

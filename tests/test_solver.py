@@ -305,11 +305,14 @@ class TestLeanStep:
             "import json, runpy\n"
             f"tool = runpy.run_path({str(tool)!r})\n"
             "g = tool['random_graph'](60, 0.3, 1)\n"
-            "print(json.dumps({**tool['solver_cost'](g), **tool['baseline_cost'](g)}))\n"
+            "print(json.dumps(tool['row']('g', g, tool['Reference']())))\n"
         )
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
         row = json.loads(out)
-        assert row["solver_iterations"] > 0
+        assert (row["graph"], row["n"]) == ("g", 60) and row["solver_iterations"] > 0
+        assert len(row["reference_ms"]) == 2 and min(row["reference_ms"]) > 0
+        for key in ("solver_us_per_iteration", "solver_us_per_solve_outside_steps", "baseline_us_per_iteration"):
+            assert row[f"{key}_scaled"] > 0
         assert row["solver_us_per_iteration"] > 0 and row["baseline_us_per_iteration"] > 0
         assert row["solver_us_per_solve_outside_steps"] > 0
         assert 0 < row["solver_adj_matvec_share"] < 1 and 0 < row["baseline_adj_matvec_share"] < 1

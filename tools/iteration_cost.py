@@ -21,7 +21,16 @@ run_baseline keeps its loop inside, so a baseline iteration is a run's
 time over its iteration count, and the table gives the median over
 repeated runs of pelillo and ding.  Graph.adj_matvec is wrapped with a
 timer for the shares; the wrapper adds two clock reads per pass to both
-sides of the share.  Prints one JSON object.
+sides of the share.
+
+A shared host's speed drifts between rows and between runs, so each
+row is bracketed by perfbench's reference work (workloads.Reference),
+timed REFERENCE_RUNS times just before the row and just after it.  The
+row gives the two medians as reference_ms and each time both raw and
+scaled, as perfbench's Recorder scales: multiplied by REFERENCE_S over
+the mean of the two reference medians.  Rows from runs on different
+commits or at different moments compare by their scaled figures.
+Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -47,11 +56,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from rankclique import Graph, baselines, solver  # noqa: E402
 from rankclique.graph import graph_from_edge_list, random_graph  # noqa: E402
-from workloads import TextCooc, popcount  # noqa: E402
+from workloads import REFERENCE_S, Reference, TextCooc, popcount  # noqa: E402
 
 SOLVER_SEEDS = range(8)
 BASELINE_REPEATS = 5
 REPEATS = 3  # passes over all solver seeds per graph
+REFERENCE_RUNS = 5  # reference timings on each side of a row
+TIMES = ("solver_us_per_iteration", "solver_us_per_solve_outside_steps", "baseline_us_per_iteration")
 
 
 def graphs() -> dict[str, Graph]:
@@ -142,15 +153,33 @@ def baseline_cost(g: Graph) -> dict:
     }
 
 
+def reference_ms(reference: Reference) -> float:
+    return statistics.median(reference.seconds() for _ in range(REFERENCE_RUNS)) * 1e3
+
+
+def row(name: str, g: Graph, reference: Reference) -> dict:
+    """One graph's row, with its times raw and scaled by the reference
+    work timed around it."""
+    before = reference_ms(reference)
+    out = {"graph": name, "n": g.n, "edges": g.edge_count, **solver_cost(g), **baseline_cost(g)}
+    after = reference_ms(reference)
+    scale = REFERENCE_S * 1e3 / ((before + after) / 2)
+    out["reference_ms"] = [round(before, 3), round(after, 3)]
+    out.update({f"{key}_scaled": round(out[key] * scale, 1) for key in TIMES})
+    return out
+
+
 def main() -> None:
     rows = []
+    reference = Reference()
     for name, g in graphs().items():
-        rows.append({"graph": name, "n": g.n, "edges": g.edge_count, **solver_cost(g), **baseline_cost(g)})
+        rows.append(row(name, g, reference))
         print(json.dumps(rows[-1]), file=sys.stderr)
     print(json.dumps({
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}, "
                    f"numpy {np.__version__}, scipy {scipy.__version__}, BLAS on 1 thread",
         "command": "python3 tools/iteration_cost.py",
+        "reference_s": REFERENCE_S,
         "rows": rows,
     }, indent=1))
 

@@ -11,7 +11,9 @@ one pass with each form through the kernel that adj_matvec binds to it
 row block) and the CSR that the sparser-side rule stores, with the
 complement correction when that is Ā.  Each cell reports the medians
 over its graphs of the times and of their ratio, sparse / dense (above
-1 the dense pass is faster).
+1 the dense pass is faster), and of each form's build memory: the
+traced peak of building it (tracemalloc) less the bytes the built form
+still holds, so the working memory the first pass needs over the form.
 
 Build table: for each n and each ratio r = n²/pairs, draws one set of
 n²/r dirty pairs (uniform over [0, n)², so with self-loops, repeats and
@@ -38,6 +40,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,18 +83,30 @@ def per_pass(product, u: np.ndarray, passes: int) -> float:
     return (time.perf_counter() - t0) / passes
 
 
+def traced_build(build):
+    """(build(), the traced peak of the call less the bytes its result still holds)."""
+    tracemalloc.start()
+    try:
+        form = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return form, peak - held
+
+
 def one_graph(n: int, share: float, seed: int, batches: int = BATCHES) -> dict:
     """Times per pass of the two forms on one graph, each through the
     kernel adj_matvec binds to it: _dense_pass over the dense matrix, and
-    the CSR pass with the complement correction when the sparser side is Ā."""
+    the CSR pass with the complement correction when the sparser side is
+    Ā; and the working memory of each form's build over the form."""
     g = half_dense_graph(n, share, seed)
     stored = 2 * g.edge_count
     non_edges = n * (n - 1) - stored
     if non_edges < stored:
-        sparse = _bound_pass(_csr(n, *_complement_structure(g)), True)
+        sparse, sparse_over = traced_build(lambda: _bound_pass(_csr(n, *_complement_structure(g)), True))
     else:
-        sparse = _bound_pass(_csr(n, g.indptr, g.indices), False)
-    dense = _bound_pass(_dense_adjacency(g), False)
+        sparse, sparse_over = traced_build(lambda: _bound_pass(_csr(n, g.indptr, g.indices), False))
+    dense, dense_over = traced_build(lambda: _bound_pass(_dense_adjacency(g), False))
 
     u = np.random.default_rng(seed).random(n)
     assert np.allclose(sparse(u), dense(u))
@@ -108,6 +123,8 @@ def one_graph(n: int, share: float, seed: int, batches: int = BATCHES) -> dict:
         "dense_us": d * 1e6,
         "sparse_us": s * 1e6,
         "sparse_over_dense": s / d,
+        "dense_build_bytes_over_form": dense_over,
+        "sparse_build_bytes_over_form": sparse_over,
     }
 
 
@@ -115,7 +132,8 @@ def cell(n: int, share: float) -> dict:
     seeds = range(SEED * 10_000 + n, SEED * 10_000 + n + GRAPHS)
     graphs = [one_graph(n, share, seed) for seed in seeds]
     row = {"n": n, "share": share}
-    for key, digits in (("sparser_side_share", 4), ("dense_us", 2), ("sparse_us", 2), ("sparse_over_dense", 3)):
+    for key, digits in (("sparser_side_share", 4), ("dense_us", 2), ("sparse_us", 2), ("sparse_over_dense", 3),
+                        ("dense_build_bytes_over_form", None), ("sparse_build_bytes_over_form", None)):
         row[key] = round(statistics.median(g[key] for g in graphs), digits)
     row["sparse_side"] = sorted({g["sparse_side"] for g in graphs})
     row["sparse_over_dense_per_graph"] = [round(g["sparse_over_dense"], 3) for g in graphs]
