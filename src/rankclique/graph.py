@@ -40,13 +40,14 @@ committed in BENCH_9.json, re-run in README with the bound kernels) of
 dense against sparse passes for n from 100 to 4000: at that share the
 dense pass is faster up to n = 1000, while at n = 2000 and 4000 it
 ranges from 6% slower to 14% faster over four runs of the table.  The
-operator is built on the first pass, not at ingest, and so is the
-kernel that makes the pass over it (_bound_pass).  Either build writes
-the graph's entries into its n x n array one block of keys at a time
-(_scatter_entries), so the first pass's working memory is the stored
-form plus one block: on hamming10_2 (the Ā form) its traced peak is
-1.6 MB over the graph's arrays, the 1 MB bitmap and a 0.5 MB block,
-where one key per stored entry of A took 9.4 MB.
+dense form's 8n² bytes stay within 1.5x of the CSR it replaces.  One
+cached property, Graph._pass, makes that choice on the first pass, not
+at ingest, and binds the chosen form's kernel to its arrays.  The dense
+and Ā builds write the graph's entries into an n x n array one block
+of keys at a time (_scatter_entries), so the first pass's working
+memory is the stored form plus one block: on hamming10_2 (the Ā form)
+its traced peak is 1.6 MB over the graph's arrays, the 1 MB bitmap and
+a 0.5 MB block, where one key per stored entry of A took 9.4 MB.
 """
 
 from __future__ import annotations
@@ -136,49 +137,43 @@ class Graph:
         return np.column_stack([src[keep], self.indices[keep]])
 
     @cached_property
-    def _stored_operator(self) -> tuple[np.ndarray | sp.csr_matrix, bool]:
-        """(stored operator, whether it is Ā), built on the first pass.
+    def _pass(self) -> Callable[[np.ndarray], np.ndarray]:
+        """u -> A u, bound on the first pass to one of three stored forms,
+        kept by entry counts alone:
 
-        Of the three stored forms this keeps one by entry counts alone:
-
-        * the dense float64 0/1 matrix of A, once the sparser of A and Ā
-          still holds at least 9/20 of the n² entries.  A dgemv reads 8
-          bytes per entry in order, a CSR pass 12 per stored entry plus a
-          gather of u through them.  In the crossover tables of
-          BENCH_9.json and README (n from 100 to 4000, BLAS on one
-          thread, four runs) the dense pass at 9/20 is 1.03-2.45x as
+        * the dense float64 0/1 matrix of A, through _dense_pass, once the
+          sparser of A and Ā still holds at least 9/20 of the n² entries.
+          A dgemv reads 8 bytes per entry in order, a CSR pass 12 per
+          stored entry plus a gather of u through them.  In the crossover
+          tables of BENCH_9.json and README (n from 100 to 4000, BLAS on
+          one thread, four runs) the dense pass at 9/20 is 1.03-2.45x as
           fast for n <= 1000, but from 6% slower to 14% faster at
-          n = 2000 and 4000, so near the lower edge of the band it is
-          not always the faster form; at 7/20 it is up to 26% slower.
-          Its memory, 8n² bytes, stays within 1.5x of the CSR it
-          replaces;
+          n = 2000 and 4000, so near the lower edge of the band it is not
+          always the faster form; at 7/20 it is up to 26% slower.  Its
+          memory, 8n² bytes, stays within 1.5x of the CSR it replaces;
         * else the 0/1 CSR of Ā when it has fewer entries than A
-          (4·edge_count > n(n-1));
-        * else the 0/1 CSR of A (a tie between A and Ā keeps A).
+          (4·edge_count > n(n-1)), through _csr_kernel and then
+          _complement_pass;
+        * else the 0/1 CSR of A, through _csr_kernel (a tie between A and
+          Ā keeps A).
 
         Building the dense form, or Ā through its n² byte bitmap, takes
-        one block of _SCATTER_ENTRIES keys (0.5 MB) on top of that
-        array, whatever the graph's size (see _scatter_entries).
+        one block of _SCATTER_ENTRIES keys (0.5 MB) on top of that array,
+        whatever the graph's size (see _scatter_entries).  Partials of
+        module functions keep a graph picklable.
         """
         n, stored = self.n, 2 * self.edge_count
         non_edges = n * (n - 1) - stored
         if 20 * min(stored, non_edges) >= 9 * n * n:
-            return _dense_adjacency(self), False
+            return partial(_dense_pass, _dense_adjacency(self))
         if non_edges < stored:
-            return _csr(n, *_complement_structure(self)), True
-        return _csr(n, self.indptr, self.indices), False
-
-    @cached_property
-    def _pass(self) -> Callable[[np.ndarray], np.ndarray]:
-        """u -> A u over the stored operator, bound on the first pass
-        (see _bound_pass)."""
-        return _bound_pass(*self._stored_operator)
+            return partial(_complement_pass, _csr_kernel(n, *_complement_structure(self)))
+        return _csr_kernel(n, self.indptr, self.indices)
 
     def adj_matvec(self, u: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ u in one pass over the stored
-        operator (see _stored_operator): a dense dgemv over A on half-dense
-        graphs, else a sparse pass over whichever of A and Ā has fewer
-        entries.
+        form (see _pass): a dense dgemv over A on half-dense graphs, else
+        a sparse pass over whichever of A and Ā has fewer entries.
 
         A = J - I - Ā, so on the complement side A u = (sum(u) - u) - Ā u.
         For a 0/1 vector u every form gives exact integer counts.
@@ -191,31 +186,34 @@ class Graph:
         return self._pass(u)
 
 
-def _bound_pass(op: np.ndarray | sp.csr_matrix, complement: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """The pass u -> A u over one stored form, with its arrays bound once.
-
-    The dense form runs _dense_pass.  A CSR form runs scipy's csr_matvec
-    into a fresh zero vector, the kernel in which op @ u ends, without
-    the dispatch that @ makes on every call (scipy has no public entry
-    point to it).  On Ā, _complement_pass follows the kernel.  Partials
-    of module functions keep a graph picklable.  u must be a float64
-    vector of length n.
-    """
-    if isinstance(op, np.ndarray):
-        kernel = partial(_dense_pass, op)
-    else:
-        kernel = partial(_csr_pass, op.shape[0], op.indptr, op.indices, op.data)
-    return partial(_complement_pass, kernel) if complement else kernel
-
-
 def _complement_pass(kernel: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
     """A u = (sum(u) - u) - Ā u, in the array of Ā u = kernel(u)."""
     au = kernel(u)
     return np.subtract(float(np.add.reduce(u)) - u, au, out=au)
 
 
+def _csr_kernel(n: int, indptr: np.ndarray, indices: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> the n x n 0/1 CSR matrix (indptr, indices) times u, by _csr_pass
+    over int32 copies of the index arrays (int64 once the entries reach
+    2^31, as scipy's CSR constructor picks) and an array of ones.
+
+    The copies take 12 bytes per entry with the ones.  The pass over the
+    graph's own int64 arrays would save the index copies, but it reads
+    twice the index bytes and is no faster: on random graphs of n = 400
+    to 2000 (19k to 400k entries, one core, three rounds of three runs)
+    int32 had the lower median in 8 of the 12 cells, by up to 22%, and
+    int64 in the other 4, by up to 19%.
+    """
+    index = np.int64 if len(indices) >= 1 << 31 else np.int32
+    return partial(_csr_pass, n, indptr.astype(index), indices.astype(index), np.ones(len(indices)))
+
+
 def _csr_pass(n: int, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The n x n CSR matrix (data, indices, indptr) times u, as op @ u computes it."""
+    """The n x n CSR matrix (data, indices, indptr) times u, by scipy's
+    csr_matvec into a fresh zero vector: the kernel in which a scipy
+    matrix's @ ends, without the dispatch that @ makes on every call
+    (scipy has no public entry point to it).  u must be a float64
+    vector of length n."""
     out = np.zeros(n)
     csr_matvec(n, n, indptr, indices, data, u, out)
     return out
@@ -237,11 +235,6 @@ def _dense_pass(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     for lo in range(0, len(a), rows):
         np.matmul(a[lo:lo + rows], u, out=out[lo:lo + rows])
     return out
-
-
-def _csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    data = np.ones(len(indices), dtype=np.float64)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 # _scatter_entries writes this many of a graph's stored entries at a

@@ -105,7 +105,7 @@ class SolverConfig:
             raise ValueError(f"max_outer_iterations must be an integer of at least 1, got {m!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass
 class ArmijoStep:
     """Diagnostics of one outer iteration's line search.  There is one
     chord evaluation per iteration, so trials is always 1.  u, the new
@@ -119,12 +119,6 @@ class ArmijoStep:
     accepted: bool
     u: np.ndarray | None = None
     trials: ClassVar[int] = 1
-
-    def __init__(self, d: float, alpha_used: float, f_old: float, f_new: float, accepted: bool,
-                 u: np.ndarray | None = None):
-        # one write into the instance dict; the generated frozen __init__
-        # makes one object.__setattr__ call per field, once per iteration
-        self.__dict__.update(d=d, alpha_used=alpha_used, f_old=f_old, f_new=f_new, accepted=accepted, u=u)
 
 
 @dataclass

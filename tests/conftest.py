@@ -3,11 +3,15 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import rankclique.graph as graph_module
 from rankclique import Graph, graph_from_edge_list, random_graph
+from oracles import dense_adjacency
 
 
 @pytest.fixture
@@ -59,3 +63,52 @@ def stored_form_graphs() -> dict[str, Graph]:
         "csr_of_complement": random_graph(120, 0.85, 7),
         "dense": random_graph(120, 0.5, 7),
     }
+
+
+def stored_form(g: Graph) -> str:
+    """The stored form, named as in stored_form_graphs, that adj_matvec's
+    entry-count rule picks for g: the dense matrix once the sparser of A
+    and Ā holds at least 9/20 of the n² entries, else the CSR of
+    whichever of them has fewer entries (a tie keeps A)."""
+    n, stored = g.n, 2 * g.edge_count
+    non_edges = n * (n - 1) - stored
+    if 20 * min(stored, non_edges) >= 9 * n * n:
+        return "dense"
+    return "csr_of_complement" if non_edges < stored else "csr_of_a"
+
+
+# the kernel at the head of each stored form's bound pass
+FORM_KERNELS = {
+    "csr_of_a": graph_module._csr_pass,
+    "csr_of_complement": graph_module._complement_pass,
+    "dense": graph_module._dense_pass,
+}
+
+
+def reference_pass(a: np.ndarray, form: str, u: np.ndarray) -> np.ndarray:
+    """A u as the pass over `form` sums it, built from the dense 0/1
+    matrix a alone: the row blocks of _dense_pass over a, or scipy's CSR
+    product over A, or over Ā = 1 - I - A and then (sum(u) - u) - Ā u."""
+    if form == "dense":
+        return graph_module._dense_pass(a, u)
+    if form == "csr_of_a":
+        return sp.csr_matrix(a) @ u
+    au = sp.csr_matrix(1.0 - np.eye(len(a)) - a) @ u
+    return np.subtract(float(u.sum()) - u, au, out=au)
+
+
+def assert_bound_form(g: Graph, form: str, vectors=()) -> np.ndarray:
+    """g's bound pass runs over `form`: its kernel, read off g._pass, is
+    that form's; its passes over the unit vectors give the oracle's dense
+    matrix, which is returned; and each of vectors, a random vector and a
+    0/1 one, gives the bytes of reference_pass (on n = 0, where
+    adj_matvec makes no pass, the form is all there is to check)."""
+    assert g._pass.func is FORM_KERNELS[form]
+    a = dense_adjacency(g)
+    columns = np.array([g.adj_matvec(e) for e in np.eye(g.n)]).reshape(g.n, g.n)
+    assert np.array_equal(columns, a)
+    if g.n:
+        rng = np.random.default_rng(g.n)
+        for u in [*vectors, rng.random(g.n), (rng.random(g.n) < 0.5).astype(np.float64)]:
+            assert g.adj_matvec(u).tobytes() == reference_pass(a, form, u).tobytes()
+    return a

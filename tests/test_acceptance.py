@@ -25,6 +25,7 @@ from rankclique import (
     cmd_solve,
     d_max,
     enumerate_maximal_cliques,
+    is_maximal_clique,
     maximum_clique_exact,
     random_graph,
     read_dimacs,
@@ -33,7 +34,7 @@ from rankclique import (
 )
 from rankclique.baselines import ding_step, pelillo_step
 from rankclique.solver import gradient, md_norm_sq, objective_shifted, round_phi
-from oracles import central_diff_gradient, hamming_graph
+from oracles import central_diff_gradient, hamming_graph, johnson_graph
 
 
 def _report(num: int, label: str, passed: bool, detail: str, t0: float) -> str:
@@ -321,6 +322,42 @@ class TestAcceptance:
             ok,
             f"clique size {size} (want 512), valid={res.clique_valid}, "
             f"converged={res.converged}, run {run_s:.1f}s (ceiling 30s)",
+            t0,
+        )
+        assert ok, line
+
+    @pytest.mark.parametrize(
+        "family, args, omega",
+        [
+            pytest.param(hamming_graph, (6, 2), 32, id="hamming6-2"),
+            pytest.param(hamming_graph, (6, 4), 4, id="hamming6-4"),
+            pytest.param(hamming_graph, (8, 2), 128, id="hamming8-2"),
+            pytest.param(hamming_graph, (8, 4), 16, id="hamming8-4"),
+            # ω is unknown; the best clique known has 40 vertices
+            pytest.param(hamming_graph, (10, 4), None, id="hamming10-4"),
+            pytest.param(johnson_graph, (8, 2, 4), 4, id="johnson8-2-4"),
+            pytest.param(johnson_graph, (8, 4, 4), 14, id="johnson8-4-4"),
+            pytest.param(johnson_graph, (16, 2, 4), 8, id="johnson16-2-4"),
+            pytest.param(johnson_graph, (32, 2, 4), 16, id="johnson32-2-4"),
+        ],
+    )
+    def test_07d_generated_dimacs_best_of_10(self, request, family, args, omega):
+        # the hamming and johnson DIMACS instances, generated from their
+        # definitions; ω as published (Johnson & Trick, eds., DIMACS
+        # Series 26, 1996)
+        t0 = time.perf_counter()
+        g = family(*args)
+        name = request.node.callspec.id
+        runs = [solve(g, SolverConfig(seed=seed)) for seed in range(10)]
+        maximal = sum(res.converged and is_maximal_clique(g, res.clique.vertices) for res in runs)
+        best = max(res.clique.size for res in runs)
+        ok = maximal == len(runs) and (omega is None or best == omega)
+        line = _report(
+            7,
+            f"{name} best-of-10",
+            ok,
+            f"{maximal}/10 converged to maximal cliques, best clique size {best} "
+            f"({'ω unknown' if omega is None else f'want = {omega}'})",
             t0,
         )
         assert ok, line

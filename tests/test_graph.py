@@ -35,7 +35,7 @@ from rankclique import (
     serialize_dimacs,
     solve,
 )
-from conftest import small_random_graphs, stored_form_graphs
+from conftest import assert_bound_form, reference_pass, small_random_graphs, stored_form, stored_form_graphs
 from oracles import (
     cooccurrence_reference,
     dense_adjacency,
@@ -249,22 +249,13 @@ class TestAdjacencyOperator:
         assert np.allclose(g.adj_matvec(u), a @ u, rtol=0.0, atol=1e-12 * (1.0 + np.abs(u).sum()))
         s = (rng.random(n) < 0.5).astype(np.float64)
         assert np.array_equal(g.adj_matvec(s), a @ s)
-        op, complement = g._stored_operator
         non_edges = n * (n - 1) - 2 * m
         if 20 * min(2 * m, non_edges) >= 9 * n * n:
-            assert isinstance(op, np.ndarray) and not complement
-            assert np.array_equal(op, a) and np.count_nonzero(op) == 2 * m
+            form = "dense"
         else:
-            assert complement == (non_edges < 2 * m)
-            assert op.nnz == min(2 * m, non_edges) and np.all(op.data == 1.0)
-            assert np.array_equal(op.toarray(), 1.0 - np.eye(n) - a if complement else a)
-
-    @staticmethod
-    def _dispatched_pass(op, complement: bool, u: np.ndarray) -> np.ndarray:
-        # the reference: the pass through @ (or the row blocks of
-        # _dense_pass), dispatched on every call
-        au = graph_module._dense_pass(op, u) if isinstance(op, np.ndarray) else op @ u
-        return np.subtract(float(u.sum()) - u, au, out=au) if complement else au
+            form = "csr_of_complement" if non_edges < 2 * m else "csr_of_a"
+        assert_bound_form(g, form, [u, s])
+        assert np.count_nonzero(a) == 2 * m
 
     @staticmethod
     def _pass_vectors(n: int, seed: int) -> list[np.ndarray]:
@@ -282,25 +273,29 @@ class TestAdjacencyOperator:
     @pytest.mark.parametrize("form", ["csr_of_a", "csr_of_complement", "dense"])
     def test_bound_kernel_gives_the_bytes_of_the_dispatched_pass(self, form):
         g = stored_form_graphs()[form]
-        op, complement = g._stored_operator
+        assert stored_form(g) == form
+        # the reference: scipy's @ over a matrix built from the oracle's,
+        # or the row blocks of _dense_pass over it (one block at n = 120,
+        # so a plain @ too)
+        a = assert_bound_form(g, form, self._pass_vectors(g.n, 3))
         for u in self._pass_vectors(g.n, 3):
-            want = (op @ u) if not complement else (float(u.sum()) - u) - op @ u
-            assert g.adj_matvec(u).tobytes() == want.tobytes()
-            assert g._pass(u).tobytes() == self._dispatched_pass(op, complement, u).tobytes()
+            if form == "dense":
+                assert g.adj_matvec(u).tobytes() == (a @ u).tobytes()
+            assert g._pass(u).tobytes() == reference_pass(a, form, u).tobytes()
         # a strided view is read as its values
         u = np.random.default_rng(4).random(2 * g.n)[::2]
-        assert g.adj_matvec(u).tobytes() == self._dispatched_pass(op, complement, u).tobytes()
+        assert g.adj_matvec(u).tobytes() == reference_pass(a, form, u).tobytes()
 
     def test_bound_kernel_over_several_dgemv_blocks(self):
         # at n = 700 the dense form splits into two row blocks of 374 and
         # 326 rows, each one dgemv
         g = random_graph(700, 0.5, 2)
-        op, complement = g._stored_operator
-        assert isinstance(op, np.ndarray) and not complement
+        assert stored_form(g) == "dense"
+        a = assert_bound_form(g, "dense")
         rows = graph_module._GEMV_ENTRIES // g.n
         assert rows < g.n
         for u in self._pass_vectors(g.n, 5):
-            blocks = np.concatenate([op[lo:lo + rows] @ u for lo in range(0, g.n, rows)])
+            blocks = np.concatenate([a[lo:lo + rows] @ u for lo in range(0, g.n, rows)])
             assert g.adj_matvec(u).tobytes() == blocks.tobytes()
 
     def test_dense_pass_does_not_depend_on_the_blas_thread_count(self):
@@ -310,20 +305,28 @@ class TestAdjacencyOperator:
         script = (
             "import hashlib, numpy as np\n"
             "from rankclique import SolverConfig, random_graph, solve\n"
+            "from rankclique.graph import _dense_pass\n"
+            "from oracles import dense_adjacency\n"
             "g = random_graph(700, 0.5, 1)\n"
             "h = hashlib.sha256()\n"
             "for seed in range(5):\n"
             "    h.update(g.adj_matvec(np.random.default_rng(seed).random(g.n)).tobytes())\n"
-            "assert isinstance(g._stored_operator[0], np.ndarray)\n"
+            "assert 20 * 2 * g.edge_count >= 9 * g.n * g.n and g._pass.func is _dense_pass\n"
+            "a = dense_adjacency(g)\n"
+            "assert np.array_equal(np.array([g.adj_matvec(e) for e in np.eye(g.n)]), a)\n"
+            "for seed in range(5):\n"
+            "    u = np.random.default_rng(seed).random(g.n)\n"
+            "    assert g.adj_matvec(u).tobytes() == _dense_pass(a, u).tobytes()\n"
             "r = solve(g, SolverConfig(seed=0))\n"
             "h.update(r.u_final.tobytes())\n"
             "print(h.hexdigest(), r.iterations, r.clique.vertices)\n"
         )
         src = str(Path(graph_module.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
         runs = [
             subprocess.run(
                 [sys.executable, "-c", script],
-                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
                 capture_output=True, text=True, check=True,
             ).stdout
             for threads in ("1", "2")
@@ -403,8 +406,9 @@ class TestOperatorBuild:
         # A would add 8.3 MB
         g = hamming_graph(10, 2)
         peak = self._first_pass_peak(g)
-        op, complement = g._stored_operator
-        assert complement and len(g.indices) == 1_037_312 and op.nnz == 10_240
+        assert len(g.indices) == 1_037_312 and g.n * (g.n - 1) - len(g.indices) == 10_240
+        assert stored_form(g) == "csr_of_complement"
+        assert_bound_form(g, "csr_of_complement")
         assert peak <= 3 * 2**20
 
     def test_first_pass_on_a_dense_graph_holds_one_block(self):
@@ -412,7 +416,8 @@ class TestOperatorBuild:
         # per stored entry would add 4 MB
         g = random_graph(1000, 0.5, 1)
         peak = self._first_pass_peak(g)
-        assert isinstance(g._stored_operator[0], np.ndarray)
+        assert stored_form(g) == "dense"
+        assert_bound_form(g, "dense")
         assert peak <= 8 * g.n * g.n + 2 * 2**20
 
 
@@ -1123,8 +1128,8 @@ class TestCliquePredicates:
     def test_matching_complement_cliques_take_one_vertex_per_pair(self):
         k = 4
         g = complete_minus_matching(k)
-        op, complement = g._stored_operator
-        assert complement and op.nnz == 2 * k
+        assert stored_form(g) == "csr_of_complement" and g.n * (g.n - 1) - len(g.indices) == 2 * k
+        assert_bound_form(g, "csr_of_complement")
         transversals = {tuple(2 * i + b for i, b in enumerate(bits)) for bits in np.ndindex(*(2,) * k)}
         assert {vs for vs in combinations(range(2 * k), k) if is_maximal_clique(g, vs)} == transversals
         assert extend_to_maximal(g, CliqueSet(())).vertices == (0, 2, 4, 6)

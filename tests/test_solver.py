@@ -38,7 +38,7 @@ from rankclique.solver import (
     objective_shifted,
     round_phi,
 )
-from conftest import small_random_graphs, stored_form_graphs
+from conftest import assert_bound_form, small_random_graphs, stored_form, stored_form_graphs
 from oracles import (
     central_diff_gradient,
     chord_minimizer_by_pairs,
@@ -251,12 +251,9 @@ class TestLeanStep:
     must equal the plain formulas' bit for bit."""
 
     def test_graphs_cover_every_stored_form(self):
-        # (dense, complement side) per graph
-        forms = {
-            name: (isinstance(g._stored_operator[0], np.ndarray), g._stored_operator[1])
-            for name, g in stored_form_graphs().items()
-        }
-        assert forms == {"csr_of_a": (False, False), "csr_of_complement": (False, True), "dense": (True, False)}
+        for form, g in stored_form_graphs().items():
+            assert stored_form(g) == form
+            assert_bound_form(g, form)
 
     # near_cap starts 20 growth steps below the cap, so the clamp is hit
     @pytest.mark.parametrize("near_cap", [False, True], ids=["default_cap", "near_cap"])

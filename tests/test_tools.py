@@ -10,6 +10,7 @@ that iteration_cost.py makes at import out of this interpreter.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,26 @@ def test_tool_imports_cleanly(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_operator_crossover_runs_both_sparse_sides():
+    # one_graph cross-checks the sparse pass against the dense one
+    # (np.allclose); at share 0.35 the sparser side is A, and at 0.50
+    # this seed's graph has slightly more edges than non-edges, so Ā
+    script = (
+        "import json, runpy, sys\n"
+        "tool = runpy.run_path(sys.argv[1], run_name='tool')\n"
+        "print(json.dumps([tool['one_graph'](100, share, 7, batches=1) for share in (0.35, 0.50)]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "tools" / "operator_crossover.py")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [row["sparse_side"] for row in rows] == ["A", "complement"]
+    assert all(row["dense_us"] > 0 and row["sparse_us"] > 0 for row in rows)

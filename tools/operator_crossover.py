@@ -6,14 +6,15 @@ and for the two ways graph.py builds a graph from pairs.
 Pass table: for each vertex count n and each share f of the n² entries,
 builds a few random graphs whose edges hold about that share (the
 sparser of A and Ā at f = 0.50 is A or Ā by a few entries) and times
-one pass with each form through the kernel that adj_matvec binds to it
-(graph._bound_pass): the dense float64 0/1 matrix of A (one dgemv per
-row block) and the CSR that the sparser-side rule stores, with the
-complement correction when that is Ā.  Each cell reports the medians
-over its graphs of the times and of their ratio, sparse / dense (above
-1 the dense pass is faster), and of each form's build memory: the
-traced peak of building it (tracemalloc) less the bytes the built form
-still holds, so the working memory the first pass needs over the form.
+one pass with each form through the kernel that Graph._pass binds to
+it: the dense float64 0/1 matrix of A (_dense_pass, one dgemv per row
+block) and the CSR that the sparser-side rule stores (_csr_kernel),
+with the complement correction (_complement_pass) when that is Ā.
+Each cell reports the medians over its graphs of the times and of their
+ratio, sparse / dense (above 1 the dense pass is faster), and of each
+form's build memory: the traced peak of building it (tracemalloc) less
+the bytes the built form still holds, so the working memory the first
+pass needs over the form.
 
 Build table: for each n and each ratio r = n²/pairs, draws one set of
 n²/r dirty pairs (uniform over [0, n)², so with self-loops, repeats and
@@ -41,6 +42,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +51,8 @@ import scipy
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rankclique.graph import (  # noqa: E402
-    Graph, _bound_pass, _complement_structure, _csr, _dense_adjacency, _graph_of_keys, _marked_keys, _sorted_keys,
+    Graph, _complement_pass, _complement_structure, _csr_kernel, _dense_adjacency, _dense_pass, _graph_of_keys,
+    _marked_keys, _sorted_keys,
 )
 
 SIZES = (100, 400, 1000, 2000, 4000)
@@ -103,10 +106,10 @@ def one_graph(n: int, share: float, seed: int, batches: int = BATCHES) -> dict:
     stored = 2 * g.edge_count
     non_edges = n * (n - 1) - stored
     if non_edges < stored:
-        sparse, sparse_over = traced_build(lambda: _bound_pass(_csr(n, *_complement_structure(g)), True))
+        sparse, sparse_over = traced_build(lambda: partial(_complement_pass, _csr_kernel(n, *_complement_structure(g))))
     else:
-        sparse, sparse_over = traced_build(lambda: _bound_pass(_csr(n, g.indptr, g.indices), False))
-    dense, dense_over = traced_build(lambda: _bound_pass(_dense_adjacency(g), False))
+        sparse, sparse_over = traced_build(lambda: _csr_kernel(n, g.indptr, g.indices))
+    dense, dense_over = traced_build(lambda: partial(_dense_pass, _dense_adjacency(g)))
 
     u = np.random.default_rng(seed).random(n)
     assert np.allclose(sparse(u), dense(u))
