@@ -15,7 +15,9 @@ extend the result themselves.
 
 run_baseline stops once the squared step length ||u_next - u||_2^2
 drops below TOL, or after MAX_ITERATIONS steps; ETA is the annealed
-variant's default exponent.
+variant's default exponent.  A run whose first step already meets the
+stop test never left its start, the barycenter, which is a fixed point
+of both updates on every regular graph; it stops there unconverged.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def run_baseline(g: Graph, kind: str, eta: float = ETA) -> tuple[np.ndarray, int
     kind is "pelillo" or "ding"; eta, in [1, 2], is ding's exponent and
     is checked for either kind.  Returns (final weights, iterations,
     converged); converged means the squared step length dropped below
-    TOL within MAX_ITERATIONS steps.
+    TOL on a step after the first, within MAX_ITERATIONS steps.
     """
     _check_eta(eta)
     if kind not in ("pelillo", "ding"):
@@ -101,7 +103,7 @@ def run_baseline(g: Graph, kind: str, eta: float = ETA) -> tuple[np.ndarray, int
         np.subtract(u_next, u, out=delta)
         u = u_next
         if float(delta.dot(delta)) < TOL:
-            return u, it, True
+            return u, it, it > 1
     return u, MAX_ITERATIONS, False
 
 

@@ -159,16 +159,14 @@ class Graph:
 
         Building the dense form, or Ā through its n² byte bitmap, takes
         one block of _SCATTER_ENTRIES keys (0.5 MB) on top of that array,
-        whatever the graph's size (see _scatter_entries).  Partials of
-        module functions keep a graph picklable.
+        whatever the graph's size (see _scatter_entries).  _form_pass
+        binds the chosen form.
         """
         n, stored = self.n, 2 * self.edge_count
         non_edges = n * (n - 1) - stored
         if 20 * min(stored, non_edges) >= 9 * n * n:
-            return partial(_dense_pass, _dense_adjacency(self))
-        if non_edges < stored:
-            return partial(_complement_pass, _csr_kernel(n, *_complement_structure(self)))
-        return _csr_kernel(n, self.indptr, self.indices)
+            return _form_pass(self, "dense")
+        return _form_pass(self, "csr_of_complement" if non_edges < stored else "csr_of_a")
 
     def adj_matvec(self, u: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ u in one pass over the stored
@@ -184,6 +182,21 @@ class Graph:
         if self.n == 0:
             return np.zeros(0)
         return self._pass(u)
+
+
+def _form_pass(g: Graph, form: str) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> A u over one stored form of g's operator, built and bound to
+    its kernel: "dense" (_dense_pass), "csr_of_complement" (_csr_kernel
+    over Ā, then _complement_pass) or "csr_of_a" (_csr_kernel over A).
+    Graph._pass and tools/operator_crossover.py both bind forms here.
+    Partials of module functions keep a graph picklable."""
+    if form == "dense":
+        return partial(_dense_pass, _dense_adjacency(g))
+    if form == "csr_of_complement":
+        return partial(_complement_pass, _csr_kernel(g.n, *_complement_structure(g)))
+    if form == "csr_of_a":
+        return _csr_kernel(g.n, g.indptr, g.indices)
+    raise ValueError(f"unknown stored form {form!r}")
 
 
 def _complement_pass(kernel: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:

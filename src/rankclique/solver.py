@@ -27,14 +27,19 @@ the dense matrix, or scipy's csr_matvec over the CSR arrays without the
 dispatch of @.  Each iteration makes one pass, A p along its chord, and
 SolverState carries A u + t A p to the next iterate.
 
-Besides that pass a step makes eight reductions: u.u, sum(u) and
-u.(M_d u) for the objective, then u.p, p.p, sum(p), u.(A p) and p.(A p)
-for the chord's quartic.  Its vectors are updated in place, in the
-operand order of the plain formulas, so the iterates are bit for bit
-those of the formulas as written.  Inner products use ndarray.dot, the
-BLAS ddot of @ without the matmul dispatch, sums np.add.reduce, the
-pairwise sum of ndarray.sum without its Python layer, and boolean
-reductions np.count_nonzero, which skips ndarray.any's.
+Besides that pass a step makes seven reductions: u.(M_d u) for the
+objective, u.p, p.p, sum(p), u.(A p) and p.(A p) for the chord's
+quartic, and sum(u) and u.u of the new iterate, which SolverState
+carries to the next step's objective and to solve's band screen
+(_band_screen): the band test's four vector passes run only on iterates
+whose two sums allow every coordinate to lie in a band.  The step's
+vectors are updated in place, in the operand order of the plain
+formulas, so the iterates are bit for bit those of the formulas as
+written; A p is scaled by t only when t < 1.  Inner products use
+ndarray.dot, the BLAS ddot of @ without the matmul dispatch, sums
+np.add.reduce, the pairwise sum of ndarray.sum without its Python
+layer, and boolean reductions np.count_nonzero, which skips
+ndarray.any's.
 
 A rounding is certified as an index array: the sorted int64
 np.flatnonzero(u > 0.5), compared with the last one checked and handed
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -105,7 +110,7 @@ class SolverConfig:
             raise ValueError(f"max_outer_iterations must be an integer of at least 1, got {m!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ArmijoStep:
     """Diagnostics of one outer iteration's line search.  There is one
     chord evaluation per iteration, so trials is always 1.  u, the new
@@ -121,12 +126,15 @@ class ArmijoStep:
     trials: ClassVar[int] = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
     """Loop state threaded through armijo_outer_iteration.
 
     au is A u, carried from the pass that computed it; last_step carries
-    the latest line-search diagnostics.
+    the latest line-search diagnostics.  d_cap is the penalty cap
+    d_max(g), carried from step to step; left at None, the first step
+    computes it.  su and uu are sum(u) and u.u, taken from u's own
+    float64 array when the state is made.
     """
 
     u: np.ndarray
@@ -135,6 +143,13 @@ class SolverState:
     alpha: float
     iteration: int = 0
     last_step: ArmijoStep | None = None
+    d_cap: float | None = None
+    su: float = field(init=False)
+    uu: float = field(init=False)
+
+    def __post_init__(self):
+        self.u = np.asarray(self.u, dtype=np.float64)
+        self.su, self.uu = _sum_and_square(self.u)
 
 
 @dataclass(frozen=True)
@@ -178,26 +193,30 @@ def md_norm_sq(g: Graph, d: float) -> float:
     return nnz + d * d * (g.n * g.n - nnz)
 
 
-def _md_product(d: float, u: np.ndarray, au: np.ndarray) -> tuple[np.ndarray, float]:
-    """(M_d u, sum(u)) from the adjacency product au = A u:
-    (1 + d) (au + u) - d sum(u), in one new array."""
-    su = float(np.add.reduce(u))
+def _sum_and_square(u: np.ndarray) -> tuple[float, float]:
+    """(sum(u), u.u): np.add.reduce's pairwise sum and the BLAS ddot."""
+    return float(np.add.reduce(u)), float(u.dot(u))
+
+
+def _md_product(d: float, u: np.ndarray, au: np.ndarray, su: float) -> np.ndarray:
+    """M_d u from the adjacency product au = A u and su = sum(u):
+    (1 + d) (au + u) - d su, in one new array."""
     mdu = np.add(au, u)
     mdu *= 1.0 + d
     mdu -= d * su
-    return mdu, su
+    return mdu
 
 
 def _objective_and_gradient(
-    d: float, u: np.ndarray, au: np.ndarray
-) -> tuple[float, np.ndarray, float, float]:
-    """(objective_shifted, its gradient 2 (u.u u - M_d u), u.u, sum(u))."""
-    mdu, su = _md_product(d, u, au)
-    uu = float(u.dot(u))
+    d: float, u: np.ndarray, au: np.ndarray, su: float, uu: float
+) -> tuple[float, np.ndarray]:
+    """(objective_shifted, its gradient 2 (u.u u - M_d u)) from au = A u,
+    su = sum(u) and uu = u.u."""
+    mdu = _md_product(d, u, au, su)
     grad = np.multiply(u, uu)
     grad -= mdu
     grad *= 2.0
-    return 0.5 * uu * uu - float(u.dot(mdu)), grad, uu, su
+    return 0.5 * uu * uu - float(u.dot(mdu)), grad
 
 
 def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
@@ -208,7 +227,7 @@ def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
     (1 + d) (A u + u) - d * sum(u) * ones.
     """
     u = np.asarray(u, dtype=np.float64)
-    return _md_product(d, u, g.adj_matvec(u))[0]
+    return _md_product(d, u, g.adj_matvec(u), float(np.add.reduce(u)))
 
 
 def objective_shifted(g: Graph, d: float, u: np.ndarray) -> float:
@@ -216,13 +235,13 @@ def objective_shifted(g: Graph, d: float, u: np.ndarray) -> float:
     -u^T M_d u + 0.5 ||u||_2^4.  The full squared error is
     2 * objective_shifted + md_norm_sq."""
     u = np.asarray(u, dtype=np.float64)
-    return _objective_and_gradient(d, u, g.adj_matvec(u))[0]
+    return _objective_and_gradient(d, u, g.adj_matvec(u), *_sum_and_square(u))[0]
 
 
 def gradient(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
     """Exact gradient of objective_shifted: 2 (||u||_2^2 u - M_d u)."""
     u = np.asarray(u, dtype=np.float64)
-    return _objective_and_gradient(d, u, g.adj_matvec(u))[1]
+    return _objective_and_gradient(d, u, g.adj_matvec(u), *_sum_and_square(u))[1]
 
 
 def round_phi(u: np.ndarray) -> np.ndarray:
@@ -312,12 +331,12 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     The name and ArmijoStep's trials (always 1) and accepted (t* > 0)
     stay because perfbench/tracing.py reads them.
     """
-    u = np.asarray(state.u, dtype=np.float64)
-    au = state.au
+    u, au, su, uu = state.u, state.au, state.su, state.uu
     d = float(state.d)
     alpha = alpha_used = float(state.alpha)
+    d_cap = state.d_cap if state.d_cap is not None else d_max(g)
 
-    f_old, grad, uu, su = _objective_and_gradient(d, u, au)
+    f_old, grad = _objective_and_gradient(d, u, au, su, uu)
     if not (math.isfinite(f_old) and np.count_nonzero(np.isfinite(grad)) == len(grad)):
         raise NumericalDivergenceError("non-finite objective or gradient", u)
 
@@ -339,13 +358,13 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     if t == 1.0:
         u_new, alpha = cand, alpha / math.sqrt(BETA)
     else:
-        # [u + t p]_+ in p's array
+        # [u + t p]_+ in p's array, and t A p in A p's
         p *= t
         u_new = np.add(u, p, out=p)
         np.maximum(u_new, 0.0, out=u_new)
         alpha *= max(t, BETA) if pp > 0.0 else 1.0
+        ap *= t
     # A u + t A p in A p's array
-    ap *= t
     au_new = np.add(au, ap, out=ap)
     step = ArmijoStep(
         d=d,
@@ -357,10 +376,11 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     return SolverState(
         u=u_new,
         au=au_new,
-        d=min(GAMMA * d, d_max(g)),
+        d=min(GAMMA * d, d_cap),
         alpha=alpha,
         iteration=state.iteration + 1,
         last_step=step,
+        d_cap=d_cap,
     )
 
 
@@ -369,6 +389,27 @@ def _is_binary(u: np.ndarray, cfg: SolverConfig) -> bool:
     # between them and none lies above the upper one
     tol = cfg.binary_tol
     return not np.count_nonzero((u > tol) & (u < 1.0 - tol)) and float(np.maximum.reduce(u)) <= 1.0 + tol
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _band_screen(su: float, uu: float, n: int, tol: float) -> bool:
+    """False only for an iterate u >= 0 of length n that _is_binary
+    rejects, read off su = sum(u) and uu = u.u alone.
+
+    A coordinate in a band, u_i in [0, tol] or in [1 - tol, 1 + tol], has
+    |u_i - u_i^2| = u_i |1 - u_i| <= tol (1 + tol), so a binary iterate
+    has |sum(u) - u.u| <= n tol (1 + tol).  Summed in any order, n
+    nonnegative terms err by at most gamma_(n-1) of their sum, and a dot
+    product of n terms by gamma_n of its terms' sum, where
+    gamma_k = k eps/2 / (1 - k eps/2) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1), so 2 n eps (su + uu) covers the error of
+    both reductions with room for the rounding of this test's own
+    arithmetic.  An iterate that passes still goes through _is_binary;
+    a nan in su or uu fails the screen.
+    """
+    return abs(su - uu) <= n * tol * (1.0 + tol) + 2.0 * n * _EPS * (su + uu)
 
 
 def solve(
@@ -386,7 +427,9 @@ def solve(
     max_outer_iterations is hit.
 
     Converged means certified: at each iteration whose coordinates are
-    all numerically binary, the coordinatewise rounding is checked
+    all numerically binary (a test made only when the iterate's carried
+    sum(u) and u.u pass _band_screen, which every binary iterate
+    passes), the coordinatewise rounding is checked
     unless it equals the last rounding checked, and the run stops when
     it is a maximal clique.  A rounding that is not maximal, such as
     that of an iterate at a symmetric saddle next to a non-maximal
@@ -408,14 +451,16 @@ def solve(
     rng = np.random.default_rng(cfg.seed)
     u0 = rng.random(g.n)
     d0 = cfg.d0_override if cfg.d0_override is not None else default_d0(g)
-    d0 = min(float(d0), d_max(g))
+    d_cap = d_max(g)
+    d0 = min(float(d0), d_cap)
 
     au0 = g.adj_matvec(u0)
-    grad0 = _objective_and_gradient(d0, u0, au0)[1]
+    grad0 = _objective_and_gradient(d0, u0, au0, *_sum_and_square(u0))[1]
     grad_norm = float(np.linalg.norm(grad0))
     alpha0 = 0.1 * float(np.linalg.norm(u0)) / grad_norm if grad_norm > 0 else 1.0
 
-    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0)
+    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0, d_cap=d_cap)
+    n, tol = g.n, cfg.binary_tol
     trace: list[float] = []
     iterates: list[ArmijoStep] | None = [] if record_iterates else None
     converged = False
@@ -424,11 +469,10 @@ def solve(
     checked = None
     while not converged and state.iteration < cfg.max_outer_iterations:
         state = armijo_outer_iteration(g, state)
-        assert state.last_step is not None
         trace.append(state.last_step.f_new)
         if iterates is not None:
             iterates.append(replace(state.last_step, u=state.u.copy()))
-        if _is_binary(state.u, cfg):
+        if _band_screen(state.su, state.uu, n, tol) and _is_binary(state.u, cfg):
             rounded = np.flatnonzero(state.u > 0.5)
             if checked is None or not np.array_equal(rounded, checked):
                 checked = rounded

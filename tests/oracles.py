@@ -216,7 +216,8 @@ def plain_replicator_step(g, u, eta: float = 1.0):
 
 def plain_baseline_loop(g, kind: str, eta: float, tol: float, max_iterations: int):
     """run_baseline's loop over plain_replicator_step:
-    (weights, iterations, converged)."""
+    (weights, iterations, converged), where a run whose first step meets
+    the stop test has not converged."""
     if kind == "pelillo":
         u, eta = np.full(g.n, 1.0 / g.n), 1.0
     else:
@@ -226,5 +227,5 @@ def plain_baseline_loop(g, kind: str, eta: float, tol: float, max_iterations: in
         delta = u_next - u
         u = u_next
         if float(delta @ delta) < tol:
-            return u, it, True
+            return u, it, it > 1
     return u, max_iterations, False

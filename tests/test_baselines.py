@@ -19,7 +19,7 @@ from rankclique import (
 from rankclique import baselines
 from rankclique.baselines import ding_step, pelillo_step
 from conftest import small_random_graphs, stored_form_graphs
-from oracles import plain_baseline_loop, plain_replicator_step
+from oracles import hamming_graph, plain_baseline_loop, plain_replicator_step
 
 
 @pytest.fixture
@@ -101,11 +101,26 @@ class TestAnnealedStep:
 
 
 class TestRunBaseline:
-    def test_k3_converges_immediately(self, k3):
+    def test_k3_never_leaves_its_start(self, k3):
+        # K3 is regular, so the barycenter is a fixed point: the first
+        # step meets the stop test, and the run has not converged
         u, iterations, converged = run_baseline(k3, "pelillo")
-        assert converged
+        assert not converged
         assert iterations == 1
         assert np.allclose(u, np.full(3, 1.0 / 3.0), atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["pelillo", "ding"])
+    def test_regular_graphs_stop_unconverged_at_the_barycenter(self, kind):
+        # hamming10_2 is 1013-regular; a 6-cycle is 2-regular
+        cycle6 = graph_from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+        for g in (hamming_graph(10, 2), cycle6):
+            u, iterations, converged = run_baseline(g, kind)
+            assert (iterations, converged) == (1, False)
+            u_ref, iterations_ref, converged_ref = plain_baseline_loop(
+                g, kind, baselines.ETA, baselines.TOL, baselines.MAX_ITERATIONS
+            )
+            assert u.tobytes() == u_ref.tobytes()
+            assert (iterations_ref, converged_ref) == (1, False)
 
     def test_path3_frozen_limit(self, path3):
         u, iterations, converged = run_baseline(path3, "pelillo")

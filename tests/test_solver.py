@@ -29,7 +29,9 @@ from rankclique.solver import (
     GAMMA,
     ArmijoStep,
     SolverState,
+    _band_screen,
     _chord_minimizer,
+    _is_binary,
     armijo_outer_iteration,
     gradient,
     lift_ball_point,
@@ -236,10 +238,10 @@ class TestArmijoIteration:
                 prev_u = rec.u
 
     def test_non_finite_iterate_raises(self, k2):
+        # u.u overflows already when the state is made
         u = np.full(2, 1e200)
-        state = SolverState(u=u, au=k2.adj_matvec(u), d=1.0, alpha=0.1)
         with np.errstate(over="ignore"), pytest.raises(NumericalDivergenceError):
-            armijo_outer_iteration(k2, state)
+            armijo_outer_iteration(k2, SolverState(u=u, au=k2.adj_matvec(u), d=1.0, alpha=0.1))
 
 
 def _bits(x) -> bytes:
@@ -247,8 +249,10 @@ def _bits(x) -> bytes:
 
 
 class TestLeanStep:
-    """armijo_outer_iteration updates its vectors in place; every iterate
-    must equal the plain formulas' bit for bit."""
+    """armijo_outer_iteration updates its vectors in place and carries
+    sum(u), u.u and the penalty cap; every iterate must equal the plain
+    formulas' bit for bit, on every stored form and through both of the
+    step's branches (t = 1, where A p is added unscaled, and t < 1)."""
 
     def test_graphs_cover_every_stored_form(self):
         for form, g in stored_form_graphs().items():
@@ -265,6 +269,7 @@ class TestLeanStep:
         alpha = 0.1 * float(np.linalg.norm(u)) / float(np.linalg.norm(gradient(g, d, u)))
         state = SolverState(u=u, au=g.adj_matvec(u), d=d, alpha=alpha)
         ref = (state.u, state.au, d, alpha)
+        full_steps = 0  # of t = 1, the only steps that raise alpha
         for it in range(50):
             inputs = state.u, state.au
             before = _bits(state.u), _bits(state.au)
@@ -274,24 +279,29 @@ class TestLeanStep:
             assert _bits(state.u) == _bits(u_ref), it
             assert _bits(state.au) == _bits(au_ref), it
             assert _bits([state.d, state.alpha, state.last_step.f_new]) == _bits([d_ref, alpha_ref, f_ref]), it
+            assert _bits([state.su, state.uu]) == _bits([u_ref.sum(), u_ref @ u_ref]), it
+            assert state.d_cap == d_max(g)
+            full_steps += alpha_ref > ref[3]
             ref = (u_ref, au_ref, d_ref, alpha_ref)
+        assert 0 < full_steps < 50, "both branches of the step ran"
         if near_cap:
             assert state.d == d_max(g)  # the cap was reached
 
     def test_solve_matches_the_plain_step(self):
-        # solve's loop, run by hand on the plain step, ends on the same iterate
-        g = random_graph(60, 0.3, 4)
-        cfg = SolverConfig(seed=2)
-        res = solve(g, cfg, record_iterates=True)
-        u = np.random.default_rng(2).random(g.n)
-        d = default_d0(g)
-        alpha = 0.1 * float(np.linalg.norm(u)) / float(np.linalg.norm(gradient(g, d, u)))
-        state = (u, g.adj_matvec(u), d, alpha)
-        for rec in res.iterates:
-            *state, f_new = plain_chord_step(g, *state)
-            assert _bits(rec.u) == _bits(state[0])
-            assert _bits(rec.f_new) == _bits(f_new)
-        assert _bits(res.u_final) == _bits(state[0])
+        # solve's loop, run by hand on the plain step, ends on the same
+        # iterate, on a graph of each stored form
+        for g in (random_graph(60, 0.3, 4), *stored_form_graphs().values()):
+            cfg = SolverConfig(seed=2)
+            res = solve(g, cfg, record_iterates=True)
+            u = np.random.default_rng(2).random(g.n)
+            d = default_d0(g)
+            alpha = 0.1 * float(np.linalg.norm(u)) / float(np.linalg.norm(gradient(g, d, u)))
+            state = (u, g.adj_matvec(u), d, alpha)
+            for rec in res.iterates:
+                *state, f_new = plain_chord_step(g, *state)
+                assert _bits(rec.u) == _bits(state[0])
+                assert _bits(rec.f_new) == _bits(f_new)
+            assert _bits(res.u_final) == _bits(state[0])
 
     def test_iteration_cost_times_the_step_and_the_baselines(self):
         # tools/iteration_cost.py, whose table is the per-iteration
@@ -313,6 +323,70 @@ class TestLeanStep:
         assert row["solver_us_per_iteration"] > 0 and row["baseline_us_per_iteration"] > 0
         assert row["solver_us_per_solve_outside_steps"] > 0
         assert 0 < row["solver_adj_matvec_share"] < 1 and 0 < row["baseline_adj_matvec_share"] < 1
+
+
+class TestBandScreen:
+    """solve runs the band test (_is_binary) only on iterates that pass
+    _band_screen, which reads the sum(u) and u.u that SolverState
+    carries; the screen must pass every iterate the band test accepts."""
+
+    @staticmethod
+    def _screened(u: np.ndarray, tol: float) -> bool:
+        state = SolverState(u=u, au=np.zeros(len(u)), d=1.0, alpha=1.0)
+        return _band_screen(state.su, state.uu, len(u), tol)
+
+    TOLS = (1e-15, 1e-12, 1e-6, 1e-3, 0.1, 0.25, 0.4, 0.49)
+
+    # every coordinate on one edge of a band, where |u_i - u_i^2| is largest
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10**5])
+    def test_iterates_on_one_band_edge_pass(self, n):
+        for tol in self.TOLS:
+            for x in (0.0, tol, 1.0 - tol, 1.0, 1.0 + tol):
+                u = np.full(n, x)
+                assert _is_binary(u, SolverConfig(binary_tol=tol))
+                assert self._screened(u, tol), (tol, x)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.one_of(st.integers(1, 40), st.integers(1, 10**5)),
+        tol=st.one_of(st.sampled_from(TOLS), st.floats(1e-16, 0.49)),
+        on_edges=st.floats(0.0, 1.0),
+        ones=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_binary_iterate_passes(self, n, tol, on_edges, ones, seed):
+        # coordinates on the bands' edges {0, tol, 1 - tol, 1 + tol}, each
+        # with probability on_edges, else uniform inside a band, the upper
+        # one with probability ones
+        rng = np.random.default_rng(seed)
+        edges = np.array([0.0, tol, 1.0 - tol, 1.0 + tol])
+        inside = np.where(rng.random(n) < ones, rng.uniform(1.0 - tol, 1.0 + tol, n), rng.uniform(0.0, tol, n))
+        u = np.where(rng.random(n) < on_edges, edges[rng.integers(4, size=n)], inside)
+        assert _is_binary(u, SolverConfig(binary_tol=tol))
+        assert self._screened(u, tol)
+
+    def test_spread_iterates_are_turned_away(self):
+        # a uniform random start has |sum(u) - u.u| near n/6
+        for n in (10, 1000):
+            assert not self._screened(np.random.default_rng(n).random(n), 1e-3)
+        assert not self._screened(np.array([np.nan, 1.0]), 0.1)
+
+    def test_solve_skips_band_tests_and_keeps_its_result(self, monkeypatch):
+        # the screen spares most band tests, and opening it changes nothing
+        g = stored_form_graphs()["csr_of_complement"]
+        tests = []
+        is_binary = solver_module._is_binary
+        monkeypatch.setattr(solver_module, "_is_binary", lambda u, cfg: tests.append(1) or is_binary(u, cfg))
+        res = solve(g, SolverConfig(seed=3))
+        assert 0 < len(tests) < res.iterations
+        tests.clear()
+        monkeypatch.setattr(solver_module, "_band_screen", lambda *args: True)
+        unscreened = solve(g, SolverConfig(seed=3))
+        assert len(tests) == unscreened.iterations
+        assert _bits(unscreened.u_final) == _bits(res.u_final)
+        assert _bits(unscreened.objective_trace) == _bits(res.objective_trace)
+        assert (unscreened.iterations, unscreened.clique, unscreened.converged) == (
+            res.iterations, res.clique, res.converged)
 
 
 def _quartic_at(q, t: float) -> float:

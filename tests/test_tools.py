@@ -56,3 +56,32 @@ def test_operator_crossover_runs_both_sparse_sides():
     rows = json.loads(proc.stdout)
     assert [row["sparse_side"] for row in rows] == ["A", "complement"]
     assert all(row["dense_us"] > 0 and row["sparse_us"] > 0 for row in rows)
+
+
+def test_operator_crossover_times_the_pass_adj_matvec_makes():
+    # the tool's bound pass of each stored form, on the graph of
+    # stored_form_graphs that stores it, gives adj_matvec's bytes
+    script = (
+        "import json, runpy, sys\n"
+        "import numpy as np\n"
+        "tool = runpy.run_path(sys.argv[1], run_name='tool')\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "from conftest import stored_form_graphs\n"
+        "equal = {}\n"
+        "for form, g in stored_form_graphs().items():\n"
+        "    rng = np.random.default_rng(g.n)\n"
+        "    product = tool['built_passes'](g)[form][0]\n"
+        "    equal[form] = all(product(u).tobytes() == g.adj_matvec(u).tobytes()\n"
+        "                      for u in (rng.random(g.n), (rng.random(g.n) < 0.5).astype(np.float64)))\n"
+        "print(json.dumps(equal))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "tools" / "operator_crossover.py"), str(ROOT / "tests")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"csr_of_a": True, "csr_of_complement": True, "dense": True}

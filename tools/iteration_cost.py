@@ -15,8 +15,11 @@ A solver iteration is one call of solver.armijo_outer_iteration, which
 solve looks up on the module, so each call is timed on its own and the
 table gives the median over all iterations of all solves.  The time a
 solve spends outside them is its own time less that of its steps: the
-start (the random vector, its pass and alpha0), the band test after
-each step, and the certification of roundings, with their passes.
+start (the random vector, its pass, alpha0 and the penalty cap), the
+band screen after each step (a scalar test on the sum(u) and u.u that
+each step's SolverState carries; those two reductions are made inside
+the step), the band test's four vector passes on the iterates that pass
+the screen, and the certification of roundings, with their passes.
 run_baseline keeps its loop inside, so a baseline iteration is a run's
 time over its iteration count, and the table gives the median over
 repeated runs of pelillo and ding.  Graph.adj_matvec is wrapped with a

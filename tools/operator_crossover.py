@@ -7,9 +7,10 @@ Pass table: for each vertex count n and each share f of the n² entries,
 builds a few random graphs whose edges hold about that share (the
 sparser of A and Ā at f = 0.50 is A or Ā by a few entries) and times
 one pass with each form through the kernel that Graph._pass binds to
-it: the dense float64 0/1 matrix of A (_dense_pass, one dgemv per row
-block) and the CSR that the sparser-side rule stores (_csr_kernel),
-with the complement correction (_complement_pass) when that is Ā.
+it, built and bound by the same function (graph._form_pass): the dense
+float64 0/1 matrix of A (_dense_pass, one dgemv per row block) and the
+CSR that the sparser-side rule stores (_csr_kernel), with the
+complement correction (_complement_pass) when that is Ā.
 Each cell reports the medians over its graphs of the times and of their
 ratio, sparse / dense (above 1 the dense pass is faster), and of each
 form's build memory: the traced peak of building it (tracemalloc) less
@@ -42,7 +43,6 @@ import statistics
 import sys
 import time
 import tracemalloc
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,7 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rankclique.graph import (  # noqa: E402
-    Graph, _complement_pass, _complement_structure, _csr_kernel, _dense_adjacency, _dense_pass, _graph_of_keys,
-    _marked_keys, _sorted_keys,
-)
+from rankclique.graph import Graph, _form_pass, _graph_of_keys, _marked_keys, _sorted_keys  # noqa: E402
 
 SIZES = (100, 400, 1000, 2000, 4000)
 SHARES = (0.35, 0.40, 0.45, 0.50)
@@ -97,19 +94,24 @@ def traced_build(build):
     return form, peak - held
 
 
+def built_passes(g: Graph) -> dict:
+    """{form: (bound pass, working memory of its build over the form)}
+    for the dense form and for the CSR that the sparser-side rule stores,
+    "csr_of_complement" when Ā has fewer entries than A, else "csr_of_a";
+    each built and bound by graph._form_pass, as Graph._pass binds it."""
+    stored = 2 * g.edge_count
+    sparse = "csr_of_complement" if g.n * (g.n - 1) - stored < stored else "csr_of_a"
+    return {form: traced_build(lambda: _form_pass(g, form)) for form in ("dense", sparse)}
+
+
 def one_graph(n: int, share: float, seed: int, batches: int = BATCHES) -> dict:
     """Times per pass of the two forms on one graph, each through the
-    kernel adj_matvec binds to it: _dense_pass over the dense matrix, and
-    the CSR pass with the complement correction when the sparser side is
-    Ā; and the working memory of each form's build over the form."""
+    kernel adj_matvec binds to it (built_passes); and the working memory
+    of each form's build over the form."""
     g = half_dense_graph(n, share, seed)
     stored = 2 * g.edge_count
     non_edges = n * (n - 1) - stored
-    if non_edges < stored:
-        sparse, sparse_over = traced_build(lambda: partial(_complement_pass, _csr_kernel(n, *_complement_structure(g))))
-    else:
-        sparse, sparse_over = traced_build(lambda: _csr_kernel(n, g.indptr, g.indices))
-    dense, dense_over = traced_build(lambda: partial(_dense_pass, _dense_adjacency(g)))
+    (dense, dense_over), (sparse, sparse_over) = built_passes(g).values()
 
     u = np.random.default_rng(seed).random(n)
     assert np.allclose(sparse(u), dense(u))
