@@ -41,6 +41,7 @@ from .solver import (
     NumericalDivergenceError,
     SolverConfig,
     SolverResult,
+    _check_count,
     d_max,
     gradient,
     lift_ball_point,
@@ -172,10 +173,10 @@ def cmd_solve(
     """Best-of-restarts run; restart i uses seed + i.
 
     Returns (best record, best clique, all records).  Best means the
-    largest valid clique, ties to the earliest seed.
+    largest valid clique, ties to the earliest seed.  restarts that are
+    not an integer of at least 1 raise ValueError before any run.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    _check_count("restarts", restarts)
     records: list[BenchRecord] = []
     cliques: list[CliqueSet] = []
     for i in range(restarts):
@@ -202,16 +203,15 @@ def cmd_bench_random(
 
     Trial t of any density uses graph seed seed + t and the same value
     as the solver seed, so reruns are bit-identical.  No densities, no
-    algorithms, an unknown algorithm, or trials below 1, raise ValueError
-    before any graph is generated.
+    algorithms, an unknown algorithm, or trials that are not an integer of
+    at least 1, raise ValueError before any graph is generated.
     """
     if not algos:
         raise ValueError("at least one algorithm is needed")
     _check_algorithms(algos)
     if not densities:
         raise ValueError("at least one density is needed")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_count("trials", trials)
     records: list[BenchRecord] = []
     for density in densities:
         for t in range(trials):
@@ -234,11 +234,13 @@ def cmd_bench_dimacs(
     maximalize: bool = False,
 ) -> list[BenchRecord]:
     """Benchmark loaded instances: one row per (instance, algorithm,
-    restart).  No graphs, no algorithms, or an unknown algorithm, raise
-    ValueError before any run."""
+    restart).  No graphs, no algorithms, an unknown algorithm, or
+    restarts that are not an integer of at least 1, raise ValueError
+    before any run."""
     if not graphs or not algos:
         raise ValueError("at least one graph and one algorithm are needed")
     _check_algorithms(algos)
+    _check_count("restarts", restarts)
     records: list[BenchRecord] = []
     for name, g in graphs:
         for algo in algos:

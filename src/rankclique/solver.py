@@ -32,14 +32,20 @@ objective, u.p, p.p, sum(p), u.(A p) and p.(A p) for the chord's
 quartic, and sum(u) and u.u of the new iterate, which SolverState
 carries to the next step's objective and to solve's band screen
 (_band_screen): the band test's four vector passes run only on iterates
-whose two sums allow every coordinate to lie in a band.  The step's
+whose two sums allow every coordinate to lie in a band.  The step forms
+no gradient array: it takes the half gradient r = u.u u - M_d u and
+its candidate as r (-2 alpha) + u, bit for bit g (-alpha) + u since
+both doublings are exact.  Its guard against divergence is the one
+scalar test of a finite objective: on every state that keeps
+SolverState's contract a finite objective bounds u, M_d u and so r far
+below overflow (the proof is _objective_and_residual's).  The step's
 vectors are updated in place, in the operand order of the plain
 formulas, so the iterates are bit for bit those of the formulas as
-written; A p is scaled by t only when t < 1.  Inner products use
-ndarray.dot, the BLAS ddot of @ without the matmul dispatch, sums
-np.add.reduce, the pairwise sum of ndarray.sum without its Python
-layer, and boolean reductions np.count_nonzero, which skips
-ndarray.any's.
+written; p takes M_d u's array, the clamps a 0-d zero, and A p is
+scaled by t only when t < 1.  Inner products use ndarray.dot, the BLAS
+ddot of @ without the matmul dispatch, sums np.add.reduce, the pairwise
+sum of ndarray.sum without its Python layer, and boolean reductions
+np.count_nonzero, which skips ndarray.any's.
 
 A rounding is certified as an index array: the sorted int64
 np.flatnonzero(u > 0.5), compared with the last one checked and handed
@@ -52,7 +58,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import ClassVar, Literal
 
 import numpy as np
 
@@ -72,6 +78,13 @@ class NumericalDivergenceError(RuntimeError):
 # after t* = 1 it becomes alpha / sqrt(BETA).
 GAMMA = 1.1
 BETA = 0.5
+
+
+def _check_count(name: str, k) -> None:
+    """ValueError unless k is an integer of at least 1, the rule for
+    every count of iterations, restarts or trials."""
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"{name} must be at least 1 and an integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +118,7 @@ class SolverConfig:
         if not 0.0 < self.binary_tol < 0.5:
             raise ValueError(f"binary_tol must lie in (0, 0.5), got {self.binary_tol}")
         # nan would run no iteration, 2.5 three and inf without end
-        m = self.max_outer_iterations
-        if not (isinstance(m, numbers.Integral) and m >= 1):
-            raise ValueError(f"max_outer_iterations must be an integer of at least 1, got {m!r}")
+        _check_count("max_outer_iterations", self.max_outer_iterations)
 
 
 @dataclass(slots=True)
@@ -130,8 +141,10 @@ class ArmijoStep:
 class SolverState:
     """Loop state threaded through armijo_outer_iteration.
 
-    au is A u, carried from the pass that computed it; last_step carries
-    the latest line-search diagnostics.  d_cap is the penalty cap
+    u >= 0, au is A u, carried from the pass that computed it, and
+    0 <= d <= d_cap; on such a state a finite objective implies a finite
+    gradient (_objective_and_residual).  last_step carries the latest
+    line-search diagnostics.  d_cap is the penalty cap
     d_max(g), carried from step to step; left at None, the first step
     computes it.  su and uu are sum(u) and u.u, taken from u's own
     float64 array when the state is made.
@@ -154,6 +167,11 @@ class SolverState:
 
 @dataclass(frozen=True)
 class SolverResult:
+    """What solve returns.  null_steps counts the steps whose chord
+    minimizer was t* = 0 (ArmijoStep.accepted false); stop says why the
+    run ended: "certified" when its rounding was certified a maximal
+    clique (converged), "cap" when it reached max_outer_iterations."""
+
     u_final: np.ndarray
     clique: CliqueSet
     converged: bool
@@ -161,6 +179,8 @@ class SolverResult:
     objective_trace: list[float]
     clique_valid: bool
     clique_maximal: bool
+    null_steps: int
+    stop: Literal["certified", "cap"]
     iterates: list[ArmijoStep] | None = None
 
 
@@ -207,16 +227,46 @@ def _md_product(d: float, u: np.ndarray, au: np.ndarray, su: float) -> np.ndarra
     return mdu
 
 
-def _objective_and_gradient(
+def _objective_and_residual(
     d: float, u: np.ndarray, au: np.ndarray, su: float, uu: float
-) -> tuple[float, np.ndarray]:
-    """(objective_shifted, its gradient 2 (u.u u - M_d u)) from au = A u,
-    su = sum(u) and uu = u.u."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(objective_shifted, r = u.u u - M_d u, M_d u) from au = A u,
+    su = sum(u) and uu = u.u, with r and M_d u in two new arrays.  The
+    gradient is 2 r, exactly; the step reuses M_d u's array once r is
+    formed.
+
+    On a state that keeps SolverState's contract, a finite objective
+    implies that r and 2 r are finite, so the step tests only f.  The
+    contract: u >= 0 of length n < 2^50 (a float64 vector of 2^50
+    entries takes 8 PiB); au is A u as a pass computes it, or as fewer
+    than 2^50 steps carry it; and 0 <= d <= d_max(g) = 2 n ||B||_F <=
+    2 n^2 < 2^101, since ||B||_F^2 = n + 2|E| <= n^2.
+    (a) No IEEE sum, difference or product, fused or not, of an inf or
+        a nan is finite.  So a finite f = 0.5 uu uu - u.(M_d u) needs a
+        finite uu, which needs every u_i finite.
+    (b) Rounding is monotone, so a computed sum of nonnegative terms,
+        in any order, is at least each of its terms: uu >= fl(u_i^2).
+        A finite 0.5 uu uu needs uu < 2^513, so u_i^2 < 2^513 (else
+        fl(u_i^2) >= 2^513) and every u_i < 2^257.
+    (c) A computed sum of at most n terms of magnitude at most x has
+        magnitude below n x (1 + gamma_(n-1)) < 2 n x (Higham, Accuracy
+        and Stability of Numerical Algorithms, 3.1), so |su| < 2^308.
+        A pass sums at most n terms per entry, and the complement form
+        subtracts that sum and u_i from su, so |(A v)_i| < 5 n max|v_j|
+        and a pass of u gives |au_i| < 2^310.  A step carries
+        au + t A p, t in [0, 1], only once its chord's coefficients are
+        finite: then 0.5 pp pp is finite, every |p_j| < 2^257 as in
+        (b), and |t (A p)_i| < 2^310.  Fewer than 2^50 carried sums,
+        each rounded by at most eps / 2, keep
+        |au_i| < 2^50 2^310 e^(1/4) < 2^361.
+    (d) So |(1 + d)(au_i + u_i)| < 2^464 and |d su| < 2^409, so
+        |(M_d u)_i| < 2^465; uu u_i < 2^770, so |r_i| < 2^771 and
+        |2 r_i| < 2^772, below float64's overflow at 2^1024.
+    """
     mdu = _md_product(d, u, au, su)
-    grad = np.multiply(u, uu)
-    grad -= mdu
-    grad *= 2.0
-    return 0.5 * uu * uu - float(u.dot(mdu)), grad
+    r = np.multiply(u, uu)
+    r -= mdu
+    return 0.5 * uu * uu - float(u.dot(mdu)), r, mdu
 
 
 def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
@@ -235,13 +285,15 @@ def objective_shifted(g: Graph, d: float, u: np.ndarray) -> float:
     -u^T M_d u + 0.5 ||u||_2^4.  The full squared error is
     2 * objective_shifted + md_norm_sq."""
     u = np.asarray(u, dtype=np.float64)
-    return _objective_and_gradient(d, u, g.adj_matvec(u), *_sum_and_square(u))[0]
+    return _objective_and_residual(d, u, g.adj_matvec(u), *_sum_and_square(u))[0]
 
 
 def gradient(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
     """Exact gradient of objective_shifted: 2 (||u||_2^2 u - M_d u)."""
     u = np.asarray(u, dtype=np.float64)
-    return _objective_and_gradient(d, u, g.adj_matvec(u), *_sum_and_square(u))[1]
+    grad = _objective_and_residual(d, u, g.adj_matvec(u), *_sum_and_square(u))[1]
+    grad *= 2.0
+    return grad
 
 
 def round_phi(u: np.ndarray) -> np.ndarray:
@@ -269,6 +321,12 @@ def lift_ball_point(g: Graph, d: float, v: np.ndarray) -> np.ndarray:
     if q <= 0.0:
         raise ValueError(f"quadratic form is {q}, must be positive to lift")
     return math.sqrt(q) * v
+
+
+# the clamps' bound: np.maximum takes a 0-d array without converting a
+# Python float on every call
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 def _quartic(t: float, q1: float, q2: float, q3: float, q4: float) -> float:
@@ -330,22 +388,30 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     carried.  alpha then follows BETA; it stays put if p = 0.
     The name and ArmijoStep's trials (always 1) and accepted (t* > 0)
     stay because perfbench/tracing.py reads them.
+
+    Raises NumericalDivergenceError when f(u) is not finite, which on a
+    state that keeps SolverState's contract is also when the gradient is
+    not (_objective_and_residual), or when the chord's coefficients are
+    not.  The candidate is r (-2 alpha) + u with r the half gradient:
+    both doublings are exact (for 2 alpha finite), so it equals
+    g (-alpha) + u bit for bit.
     """
     u, au, su, uu = state.u, state.au, state.su, state.uu
     d = float(state.d)
     alpha = alpha_used = float(state.alpha)
     d_cap = state.d_cap if state.d_cap is not None else d_max(g)
 
-    f_old, grad = _objective_and_gradient(d, u, au, su, uu)
-    if not (math.isfinite(f_old) and np.count_nonzero(np.isfinite(grad)) == len(grad)):
+    f_old, r, mdu = _objective_and_residual(d, u, au, su, uu)
+    # a finite f_old implies a finite gradient (_objective_and_residual)
+    if not math.isfinite(f_old):
         raise NumericalDivergenceError("non-finite objective or gradient", u)
 
-    # [u - alpha g]_+ in the gradient's array, as g (-alpha) + u
-    cand = grad
-    cand *= -alpha
+    # [u - alpha g]_+ in r's array, as r (-2 alpha) + u
+    cand = r
+    cand *= -2.0 * alpha
     cand += u
-    np.maximum(cand, 0.0, out=cand)
-    p = cand - u
+    np.maximum(cand, _ZERO, out=cand)
+    p = np.subtract(cand, u, out=mdu)
     ap = g.adj_matvec(p)
     up, pp, sp = float(u.dot(p)), float(p.dot(p)), float(np.add.reduce(p))
     u_md_p = (1.0 + d) * (float(u.dot(ap)) + up) - d * su * sp
@@ -361,7 +427,7 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
         # [u + t p]_+ in p's array, and t A p in A p's
         p *= t
         u_new = np.add(u, p, out=p)
-        np.maximum(u_new, 0.0, out=u_new)
+        np.maximum(u_new, _ZERO, out=u_new)
         alpha *= max(t, BETA) if pp > 0.0 else 1.0
         ap *= t
     # A u + t A p in A p's array
@@ -454,22 +520,27 @@ def solve(
     d_cap = d_max(g)
     d0 = min(float(d0), d_cap)
 
-    au0 = g.adj_matvec(u0)
-    grad0 = _objective_and_gradient(d0, u0, au0, *_sum_and_square(u0))[1]
-    grad_norm = float(np.linalg.norm(grad0))
-    alpha0 = 0.1 * float(np.linalg.norm(u0)) / grad_norm if grad_norm > 0 else 1.0
+    state = SolverState(u=u0, au=g.adj_matvec(u0), d=d0, alpha=1.0, d_cap=d_cap)
+    # alpha0 = 0.1 ||u0|| / ||grad(u0)||, with ||x|| = sqrt(x.x) as
+    # np.linalg.norm takes it, and u0.u0 the state's
+    grad0 = _objective_and_residual(d0, state.u, state.au, state.su, state.uu)[1]
+    grad0 *= 2.0
+    grad_norm = math.sqrt(grad0.dot(grad0))
+    if grad_norm > 0:
+        state.alpha = 0.1 * math.sqrt(state.uu) / grad_norm
 
-    state = SolverState(u=u0, au=au0, d=d0, alpha=alpha0, d_cap=d_cap)
     n, tol = g.n, cfg.binary_tol
     trace: list[float] = []
     iterates: list[ArmijoStep] | None = [] if record_iterates else None
     converged = False
+    null_steps = 0
     # the last rounding checked, as the sorted indices of round_phi's
     # ones; it was not maximal
     checked = None
     while not converged and state.iteration < cfg.max_outer_iterations:
         state = armijo_outer_iteration(g, state)
         trace.append(state.last_step.f_new)
+        null_steps += not state.last_step.accepted
         if iterates is not None:
             iterates.append(replace(state.last_step, u=state.u.copy()))
         if _band_screen(state.su, state.uu, n, tol) and _is_binary(state.u, cfg):
@@ -492,5 +563,7 @@ def solve(
         objective_trace=trace,
         clique_valid=valid,
         clique_maximal=maximal,
+        null_steps=null_steps,
+        stop="certified" if converged else "cap",
         iterates=iterates,
     )

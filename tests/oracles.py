@@ -205,6 +205,18 @@ def plain_chord_step(g, u, au, d, alpha):
     return u_new, au + t * ap, min(GAMMA * d, d_max(g)), alpha_new, f_old + _quartic(t, *q)
 
 
+def plain_guard_fails(u, au, d) -> bool:
+    """The step's divergence guard as it was written before the step
+    stopped forming the gradient: true when f(u) or any entry of the
+    gradient 2 ((u.u) u - M_d u) is not finite, by the formulas of
+    plain_chord_step."""
+    mdu = (1.0 + d) * (au + u) - d * float(u.sum())
+    nrm2 = float(u @ u)
+    f_old = 0.5 * nrm2 * nrm2 - float(u @ mdu)
+    grad = 2.0 * (nrm2 * u - mdu)
+    return not (math.isfinite(f_old) and bool(np.isfinite(grad).all()))
+
+
 def plain_replicator_step(g, u, eta: float = 1.0):
     """The replicator update u_i (A u)_i / (u^T A u), renormalized, then
     raised to 1/eta unless eta = 1, as plain array formulas."""

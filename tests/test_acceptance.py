@@ -482,6 +482,30 @@ class TestAcceptance:
         )
         assert ok, line
 
+    def test_09_capped_start_rounding_distance(self):
+        # acceptance 9's rounding-distance bound sees only the few polished
+        # iterates whose penalty reached the cap; started at the cap, every
+        # near-stationary iterate of the corpus's first 100 graphs is one
+        t0 = time.perf_counter()
+        checks = violations = 0
+        for g in _graphs(100, seed0=10_000, n_of=lambda i: 5 + i % 26, density_of=lambda i: (0.2, 0.5, 0.8)[i % 3]):
+            cap = d_max(g)
+            norm_b = math.sqrt(g.n + 2 * g.edge_count)
+            for seed in (0, 1, 2):
+                res = solve(g, SolverConfig(seed=seed, d0_override=cap, **_POLISH), record_iterates=True)
+                for rec in res.iterates:
+                    u = rec.u
+                    if rec.d < cap or float(u @ u) == 0.0 or stationarity_residual(g, rec.d, u) >= 1e-8:
+                        continue
+                    checks += 1
+                    if float(np.linalg.norm(u - round_phi(u))) > g.n * norm_b / (rec.d + 1.0) + 1e-12:
+                        violations += 1
+        ok = checks >= 1000 and violations == 0
+        line = _report(
+            9, "capped-start rounding distance", ok, f"{checks} capped iterates, {violations} violations", t0
+        )
+        assert ok, line
+
 
 def _dimacs_fixture(name: str) -> Path | None:
     bases = []

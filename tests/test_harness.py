@@ -158,6 +158,24 @@ class TestCmdSolve:
         with pytest.raises(ValueError, match="restarts"):
             cmd_bench_dimacs([("k3", k3)], restarts=0)
 
+    @pytest.mark.parametrize("count", [2.5, 0])
+    def test_counts_must_be_integers_of_at_least_one(self, k3, monkeypatch, count):
+        # refused before any run, by SolverConfig's rule for its iteration
+        # cap; 2.5 used to reach range() and raise TypeError there
+        monkeypatch.setattr(harness, "run_algorithm", no_call)
+        monkeypatch.setattr(harness, "random_graph", no_call)
+        calls = {
+            "restarts": [
+                lambda: cmd_solve(k3, "x", restarts=count),
+                lambda: cmd_bench_dimacs([("k3", k3)], restarts=count),
+            ],
+            "trials": [lambda: cmd_bench_random(10, [0.5], count, 0)],
+        }
+        for name, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ValueError, match=rf"{name} must be at least 1 and an integer, got {count!r}"):
+                    fn()
+
 
 class TestCmdBenchRandom:
     def test_row_count_and_order(self):

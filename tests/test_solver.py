@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import subprocess
@@ -49,6 +50,7 @@ from oracles import (
     dense_md,
     full_objective_dense,
     plain_chord_step,
+    plain_guard_fails,
     quartic_min_reference,
 )
 
@@ -242,6 +244,57 @@ class TestArmijoIteration:
         u = np.full(2, 1e200)
         with np.errstate(over="ignore"), pytest.raises(NumericalDivergenceError):
             armijo_outer_iteration(k2, SolverState(u=u, au=k2.adj_matvec(u), d=1.0, alpha=0.1))
+
+
+class TestDivergenceGuard:
+    """The step tests only that f(u) is finite, where it once also tested
+    every entry of the gradient; on states that keep SolverState's
+    contract (u >= 0, au = A u, d up to d_max) it must raise exactly
+    when that guard would."""
+
+    GRAPHS = stored_form_graphs()
+    SPECIAL = (0.0, 1e-300, 1e150, 1e200, math.inf, math.nan)
+
+    @staticmethod
+    def _guard_raises(g, u, d) -> bool:
+        with np.errstate(all="ignore"):
+            state = SolverState(u=u, au=g.adj_matvec(u), d=d, alpha=1e-3)
+            old = plain_guard_fails(state.u, state.au, d)
+            try:
+                armijo_outer_iteration(g, state)
+                new = False
+            except NumericalDivergenceError as e:
+                # the chord's coefficients are checked after the guard
+                new = str(e) == "non-finite objective or gradient"
+        assert new == old, (u, d)
+        return new
+
+    # entries special with probability `special`, else uniform draws
+    # times `scale`; scales near 1e76 put u.u next to the overflow of
+    # 0.5 (u.u)^2
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        form=st.sampled_from(sorted(GRAPHS)),
+        at_cap=st.booleans(),
+        special=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
+        scale=st.sampled_from([1.0, 1e75, 1e76, 1.3e76, 1e77]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raises_exactly_when_the_old_guard_would(self, form, at_cap, special, scale, seed):
+        g = self.GRAPHS[form]
+        rng = np.random.default_rng(seed)
+        specials = np.array(self.SPECIAL)[rng.integers(len(self.SPECIAL), size=g.n)]
+        u = np.where(rng.random(g.n) < special, specials, scale * rng.random(g.n))
+        self._guard_raises(g, u, d_max(g) if at_cap else default_d0(g))
+
+    def test_both_outcomes_occur(self):
+        g = self.GRAPHS["dense"]
+        u = np.random.default_rng(0).random(g.n)
+        for d in (default_d0(g), d_max(g)):
+            assert not self._guard_raises(g, u, d)
+            assert not self._guard_raises(g, 1e75 * u, d)
+            for x in (1e150, math.inf, math.nan):
+                assert self._guard_raises(g, np.where(np.arange(g.n) == 7, x, u), d)
 
 
 def _bits(x) -> bytes:
@@ -654,6 +707,24 @@ class TestSolve:
                     k = res.clique.size
                     # near a k-clique indicator the shifted objective is -k^2/2
                     assert res.objective_trace[-1] == pytest.approx(-0.5 * k * k, rel=0.05)
+
+    def test_null_steps_and_stop_report_the_run(self, monkeypatch):
+        # null_steps counts the recorded steps with t* = 0, and stop says
+        # "certified" exactly when the run converged
+        g = random_graph(30, 0.5, 3)
+        for cap in (10_000, 3):
+            res = solve(g, SolverConfig(seed=1, max_outer_iterations=cap))
+            assert res.null_steps == 0
+            assert (res.converged, res.stop) == ((True, "certified") if cap > 3 else (False, "cap"))
+        # every third chord search finds no decrease
+        calls = itertools.count()
+        chord = solver_module._chord_minimizer
+        monkeypatch.setattr(solver_module, "_chord_minimizer", lambda *q: 0.0 if next(calls) % 3 == 0 else chord(*q))
+        for cap in (10_000, 5):
+            res = solve(g, SolverConfig(seed=1, max_outer_iterations=cap), record_iterates=True)
+            assert res.null_steps == sum(not rec.accepted for rec in res.iterates) > 0
+            assert res.stop == ("certified" if res.converged else "cap")
+            assert res.converged == (cap > 5)
 
     def test_recorded_iterates_align_with_trace(self, star5):
         res = solve(star5, record_iterates=True)
