@@ -22,7 +22,11 @@ lines of ASCII-digit fields with single spaces and LF or CRLF endings,
 `e u v` for DIMACS as serialize_dimacs writes it and `row col count`
 for a coordinate matrix as a count writer produces it.  Both go through
 one scanner (_standard_chunks), which checks each chunk of about 64 KiB
-and reads its fields by position from the separators the checks find.
+and reads its fields by position from the separators the checks find:
+the spaces, found in one scan, and the LFs, which a DIMACS chunk derives
+from its spaces (an edge line's LF sits two bytes before the next
+line's lead space) and a coordinate chunk scans for.  A field's digits
+are read through tables of digit values weighted by their place.
 DIMACS pairs go chunk by chunk into the graph build, so no array over
 the whole body is held.  Every other layout, and every malformed file,
 goes through the line-by-line reader, which gives the same result or
@@ -473,16 +477,19 @@ _DIMACS_HEADER = re.compile(rb"(?:c%s)*p edge %s %s\n" % (_COMMENT_REST, _COUNT,
 _COORDINATE_HEADER = re.compile(rb"(?:[%%#]%s)*%s %s %s\n" % (_COMMENT_REST, _COUNT, _COUNT, _COUNT))
 # The standard readers scan a body in chunks of at most this many bytes,
 # each ending at an LF; a standard line has at most 4 + 3 * 18 bytes.  A
-# chunk's per-line arrays take about 12 bytes per byte of it, so they
+# chunk's per-line arrays take about 9 bytes per byte of it, so they
 # stay in a core's L2 cache.  Reading hamming10_2 (5.1 MB) with 16 or 32
 # KiB chunks took 1.3-1.6x or 1.2-1.3x as long, from more numpy calls
 # per byte; 64 to 256 KiB chunks stayed within about 10% of each other
 # on it and on five 200 kB count files, and one pass over its whole body
 # took 1.8x as long (2 vCPUs, 2 MiB of L2 per core).
 _CHUNK_BYTES = 1 << 16
-# The value of each byte as an ASCII digit, 0 for any other byte.
-_DIGIT = np.zeros(256, dtype=np.int64)
-_DIGIT[ord("0"):ord("9") + 1] = np.arange(10)
+# Row k holds each ASCII digit's value times 10**k and 0 for every other
+# byte, so the digit k places from a field's end adds _WEIGHTED[k][byte]
+# to the field's value: a gather and an add, with no multiply.  18 rows
+# of 256 int64 values, 36 KiB.
+_WEIGHTED = np.zeros((_MAX_DIGITS, 256), dtype=np.int64)
+_WEIGHTED[:, ord("0"):ord("9") + 1] = 10 ** np.arange(_MAX_DIGITS)[:, None] * np.arange(10)
 
 
 def _records(
@@ -560,57 +567,96 @@ def _chunk_fields(body: np.ndarray, lead: bytes, fields: int, sizes: tuple[int, 
     in an LF, if every line is made of `lead` and `fields` fields of 1 to
     _MAX_DIGITS ASCII digits joined by single spaces, and field i is in
     1..sizes[i] for each of sizes; those index fields come back 0-based.
-    Raises _OffLayout otherwise."""
-    ends = np.flatnonzero(body == ord("\n"))
-    starts = np.concatenate([[0], ends[:-1] + 1])
+    Raises _OffLayout otherwise.  `lead` is empty or ends in a space,
+    and holds no digit.
+
+    A lead that ends in a space gives the line ends without a scan for
+    LFs.  With s spaces per line (the lead's and fields - 1), the lead's
+    last space is the line's (lead spaces)-th, line i's LF sits len(lead)
+    bytes before line i + 1's lead space, and the chunk's last byte ends
+    its last line; one take checks that each of these ends is an LF.  An
+    empty lead has no space to start from, so its LFs are scanned.
+
+    No other LF, space or byte can hide in a chunk that passes the
+    checks: the space count (s per line), the lead's bytes at each line's
+    start (line 0 starting at byte 0), every field's width in
+    1.._MAX_DIGITS, and the digit count, size - (len(lead) + fields) per
+    line.  The checks place in each line its lead's bytes, fields - 1
+    spaces and an LF, in increasing order (each width is at least 1) and
+    with the lines tiling the chunk, so these are (len(lead) + fields)
+    distinct non-digit bytes per line; the digit count leaves the chunk
+    exactly that many non-digit bytes, so every other byte is a digit.
+    """
     lead_spaces = lead.count(b" ")
+    per_line = lead_spaces + fields - 1
     spaces = np.flatnonzero(body == ord(" "))
-    if spaces.size != (lead_spaces + fields - 1) * ends.size:
-        raise _OffLayout
+    if lead:
+        lines = spaces.size // per_line
+        if lines == 0 or spaces.size != per_line * lines:
+            raise _OffLayout
+        first = spaces[lead_spaces - 1::per_line]
+        if first[0] != len(lead) - 1:
+            raise _OffLayout
+        ends = np.empty(lines, dtype=np.int64)
+        np.subtract(first[1:], len(lead), out=ends[:-1])
+        ends[-1] = body.size - 1
+        if not np.all(body.take(ends) == ord("\n")):
+            raise _OffLayout
+    else:
+        ends = np.flatnonzero(body == ord("\n"))
+        lines = ends.size
+        if lines == 0 or spaces.size != per_line * lines:
+            raise _OffLayout
+        # index -1, the chunk's last LF, stands for the LF before its
+        # first line
+        first = np.concatenate([[-1], ends[:-1]])
     # each field lies between the previous separator (the lead's last
-    # byte, or the LF before the line) and the next (a space, or the
-    # LF); index -1, the chunk's last LF, stands for the LF before its
-    # first line
-    first = starts + (len(lead) - 1)
-    seps = [*spaces.reshape(ends.size, -1)[:, lead_spaces:].T, ends]
+    # byte, or the LF before the line) and the next (a space, or the LF)
+    seps = [*spaces.reshape(lines, per_line)[:, lead_spaces:].T, ends]
     widest = []
     prev = first
     for sep in seps:
-        width = sep - prev  # one more than the field's width
-        if width.min() < 2 or width.max() > _MAX_DIGITS + 1:
+        # the field's width less 1; as uint64, a width below 1 wraps past
+        # every width allowed, so one max tests both bounds
+        spare = sep - prev
+        spare -= 2
+        top = int(spare.view(np.uint64).max())
+        if top >= _MAX_DIGITS:
             raise _OffLayout
-        widest.append(int(width.max()) - 1)
+        widest.append(top + 1)
         prev = sep
-    # so every line is longer than its lead and holds fields - 1 spaces
-    # after it; with the lead's own, the count above leaves it no other
-    # space, and the digit count below no other byte
-    for offset, byte in enumerate(lead):
-        if not np.all(body.take(starts + offset) == byte):
+    # the lead's bytes before its last, a space that `first` places
+    for offset, byte in enumerate(lead[-2::-1], start=1):
+        if not np.all(body.take(first - offset) == byte):
             raise _OffLayout
     # uint8 arithmetic wraps the bytes below "0" past 9
-    if np.count_nonzero(body - ord("0") < 10) != body.size - (len(lead) + fields) * ends.size:
+    if np.count_nonzero(body - ord("0") < 10) != body.size - (len(lead) + fields) * lines:
         raise _OffLayout
     # each field is read right-aligned, its k-th digit from the end at
     # sep - 1 - k; in a field narrower than the widest the index stops at
-    # its leading separator, which _DIGIT reads as 0.  take gathers in
-    # about half the time of fancy indexing here.
-    values = np.empty((fields, ends.size), dtype=np.int64)
-    digit = np.empty(ends.size, dtype=np.int64)
+    # its leading separator, which _WEIGHTED reads as 0.  take gathers in
+    # about half the time of fancy indexing here, and into a given array
+    # with no copy outside its raise mode; the index -1 wraps.
+    values = np.empty((fields, lines), dtype=np.int64)
+    byte = np.empty(lines, dtype=np.uint8)
+    digit = np.empty(lines, dtype=np.int64)
     prev = first
     for value, sep, digits in zip(values, seps, widest):
         at = sep - 1
-        _DIGIT.take(body.take(at), out=value)
-        for k in range(1, digits):
+        body.take(at, out=byte, mode="wrap")
+        _WEIGHTED[0].take(byte, out=value, mode="clip")
+        for weighted in _WEIGHTED[1:digits]:
             at -= 1
             np.maximum(at, prev, out=at)
-            _DIGIT.take(body.take(at), out=digit)
-            digit *= 10**k
+            body.take(at, out=byte, mode="wrap")
+            weighted.take(byte, out=digit, mode="clip")
             value += digit
         prev = sep
     for value, size in zip(values, sizes):
-        if value.min() < 1 or value.max() > size:
-            raise _OffLayout
         value -= 1
+        # as uint64, a value below 1 wraps past every size
+        if int(value.view(np.uint64).max()) >= size:
+            raise _OffLayout
     return values
 
 

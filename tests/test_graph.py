@@ -689,6 +689,40 @@ def graph_outcome(parse, text):
     return g.n, g.edge_count, g.indptr.tobytes(), g.indices.tobytes()
 
 
+def space_keeping_mutation(text, rng):
+    """text with one change to its edge lines that keeps their number of
+    spaces: an LF swapped with a space, a space moved, a line's lead `e`
+    made a digit, or an LF moved into a field, each move or swap within
+    about 30 bytes where it can be."""
+    start = text.index("\n", text.index("p edge")) + 1
+    body = bytearray(text[start:], "ascii")
+    at = {ch: np.flatnonzero(np.frombuffer(bytes(body), dtype=np.uint8) == ord(ch)) for ch in " \n"}
+
+    def near(i, where):
+        # a position of `where` within 30 bytes of i, else any
+        close = where[np.abs(where - i) <= 30]
+        return int(rng.choice(close if close.size else where))
+
+    kind = rng.integers(4)
+    if kind == 0:
+        i = int(rng.choice(at["\n"]))
+        j = near(i, at[" "])
+        body[i], body[j] = body[j], body[i]
+    elif kind == 1:
+        i = int(rng.choice(at[" "]))
+        del body[i]
+        body.insert(near(i, np.arange(len(body))), ord(" "))
+    elif kind == 2:
+        leads = np.concatenate([[0], at["\n"][:-1] + 1])
+        body[int(rng.choice(leads))] = ord("0") + int(rng.integers(10))
+    else:
+        i = int(rng.choice(at["\n"]))
+        del body[i]
+        digits = np.flatnonzero(np.frombuffer(bytes(body), dtype=np.uint8) - ord("0") < 10)
+        body.insert(near(i, digits), ord("\n"))
+    return text[:start] + body.decode("ascii")
+
+
 # chunk sizes below the longest standard line (58 bytes), at a power of
 # two, and at one that splits lines anywhere
 SMALL_CHUNKS = [48, 64, 97]
@@ -711,6 +745,47 @@ class TestChunkedScan:
             expected = graph_outcome(dimacs_line_reader_only, text)
             assert expected[:2] == (g.n, g.edge_count)
             assert graph_outcome(parse_dimacs, text) == expected
+
+    @pytest.mark.parametrize("chunk", [*SMALL_CHUNKS, 1 << 16])
+    def test_mutated_bodies_read_like_the_line_reader(self, chunk, monkeypatch):
+        # a DIMACS chunk's line ends are derived from its spaces, so every
+        # change here keeps the body's space count; most make the layout
+        # off, and each must get the line reader's graph or error
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(chunk)
+        # the sort build, with labels of up to 3 digits, and the bitmap
+        texts = [serialize_dimacs(random_graph(120, 0.02, 1)), serialize_dimacs(random_graph(40, 0.9, 2))]
+        for i in range(240):
+            text = space_keeping_mutation(texts[i % 2], rng)
+            if i % 4 >= 2:
+                text = text.replace("\n", "\r\n")
+            assert graph_outcome(parse_dimacs, text) == graph_outcome(dimacs_line_reader_only, text)
+
+    @pytest.mark.parametrize("chunk", [*SMALL_CHUNKS, 1 << 16])
+    @pytest.mark.parametrize(
+        "body, standard",
+        [
+            pytest.param("e 1 2\n", True, id="one line"),
+            pytest.param("e 3 4\ne 000000000000000005 000000000000000006\n", True, id="18-digit last line"),
+            # 2 spaces per line on average, but 3 and 1
+            pytest.param("e 1 2 3\ne 4 5\n", False, id="spaces in the wrong lines"),
+            pytest.param("e 1 2 3\ne 45\n", False, id="spaces in the wrong lines, 2 fields"),
+            # a digit before a lead: in a later line the derived end
+            # before it is no LF; in a chunk's first line only the check
+            # that the line starts at byte 0 sees it
+            pytest.param("e 1 2\n7e 3 4\n", False, id="digit before a later lead"),
+            pytest.param("7e 1 2\ne 3 4\n", False, id="digit before the first lead"),
+            # a derived end on a non-digit that is no LF
+            pytest.param("e 1 2\te 3 4\n", False, id="tab for an LF"),
+            pytest.param("e 1 2\re 3 4\n", False, id="lone CR for an LF"),
+        ],
+    )
+    def test_hand_written_bodies_read_like_the_line_reader(self, body, standard, chunk, monkeypatch):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk)
+        text = "p edge 6 2\n" + body
+        assert (graph_module._standard_dimacs(text.encode("ascii")) is not None) == standard
+        expected = graph_outcome(dimacs_line_reader_only, text)
+        assert graph_outcome(parse_dimacs, text) == expected
 
     @pytest.mark.parametrize("chunk", SMALL_CHUNKS)
     def test_coordinate_chunks_read_like_the_line_reader(self, chunk, monkeypatch):
@@ -770,8 +845,8 @@ class TestChunkedScan:
 
     def test_peak_memory_of_a_dense_read(self):
         # the bitmap and the graph's arrays, plus the per-line arrays of
-        # one chunk: about 100 bytes per line of at least 6 bytes, so at
-        # most 17 per byte of the chunk.  No array over the whole body.
+        # one chunk: about 75 bytes per line of at least 6 bytes, so at
+        # most 13 per byte of the chunk.  No array over the whole body.
         data = serialize_dimacs(random_graph(600, 0.95, 0)).encode("ascii")
         tracemalloc.start()
         try:

@@ -242,8 +242,11 @@ class TestArmijoIteration:
     def test_non_finite_iterate_raises(self, k2):
         # u.u overflows already when the state is made
         u = np.full(2, 1e200)
-        with np.errstate(over="ignore"), pytest.raises(NumericalDivergenceError):
+        with np.errstate(over="ignore"), pytest.raises(NumericalDivergenceError) as exc:
             armijo_outer_iteration(k2, SolverState(u=u, au=k2.adj_matvec(u), d=1.0, alpha=0.1))
+        # the guard on f(u) raised, carrying u; the chord-coefficient
+        # check would carry the candidate
+        assert exc.value.iterate is u
 
 
 class TestDivergenceGuard:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +86,32 @@ def test_operator_crossover_times_the_pass_adj_matvec_makes():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"csr_of_a": True, "csr_of_complement": True, "dense": True}
+
+
+def test_bench_pairs_summarises_paired_runs():
+    tool = runpy.run_path(str(ROOT / "tools" / "bench_pairs.py"), run_name="tool")
+
+    def run(ms, rss, failed=0, correct=True):
+        return {"correct": correct, "attempted": 10, "failed": failed,
+                "metrics": {"ingest_ms_p50": {"value": ms, "unit": "ms"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+    parent = [run(10.0, 80.0), run(12.0, 80.0), run(11.0, 80.0, failed=1), run(13.0, 80.0)]
+    change = [run(9.0, 80.0), run(12.0, 81.0), run(10.0, 79.0), run(9.5, 80.0, correct=False)]
+    entry = tool["summarise"](parent, change, ["parent", "change", "parent", "change"])
+    assert entry["pairs"] == 4
+    assert entry["first_in_pair"] == ["parent", "change", "parent", "change"]
+    assert entry["attempted"] == {"parent": 40, "change": 40}
+    assert entry["failed"] == {"parent": 1, "change": 0}
+    assert entry["correct"] == {"parent": True, "change": False}
+    ingest = entry["metrics"]["ingest_ms_p50"]
+    assert ingest["unit"] == "ms"
+    assert ingest["parent"] == [10.0, 12.0, 11.0, 13.0]
+    assert ingest["change"] == [9.0, 12.0, 10.0, 9.5]
+    # linear-interpolated quartiles: 10, 11, 12, 13 and 9, 9.5, 10, 12
+    assert ingest["parent_quartiles"] == [10.75, 11.5, 12.25]
+    assert ingest["change_quartiles"] == [9.375, 9.75, 10.5]
+    assert ingest["median_change_pct"] == round((9.75 - 11.5) / 11.5 * 100, 2)
+    # the tie in the second pair counts for neither side
+    assert (ingest["pairs_change_lower"], ingest["pairs_change_higher"]) == (3, 0)
+    rss = entry["metrics"]["peak_rss_mb"]
+    assert (rss["pairs_change_lower"], rss["pairs_change_higher"], rss["median_change_pct"]) == (1, 1, 0.0)
