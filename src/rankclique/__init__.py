@@ -5,8 +5,8 @@ enumeration oracle for desk-scale validation.
 The package exports what the command line and the demos use, the types
 those functions return and every error they raise.  The solver's parts
 (armijo_outer_iteration, gradient, md_matvec, ...), the baselines'
-update steps and stopping constants, the oracle's limits and the
-harness's run_algorithm stay importable from their modules."""
+stopping constants, the oracle's limits and the harness's
+run_algorithm stay importable from their modules."""
 
 from .baselines import (
     IndependentSupportError,

@@ -35,19 +35,12 @@ class IndependentSupportError(ValueError):
     """u^T A u vanished: the iterate's support is an independent set."""
 
 
-def _check_eta(eta: float) -> None:
-    if not 1.0 <= eta <= 2.0:
-        raise ValueError(f"eta must lie in [1, 2], got {eta}")
-
-
 def _replicator_update(u: np.ndarray, au: np.ndarray, eta: float) -> np.ndarray:
     """The update of u from au = A u, written over au and returned.
 
     The replicator masses u_i (A u)_i / (u^T A u) sum to 1 identically
     and are renormalized to absorb floating-point drift; with eta != 1
-    each is then raised to 1/eta (the annealed update).  pelillo_step,
-    ding_step, run_baseline and cmd_verify's Motzkin-Straus check all
-    update through here.
+    each is then raised to 1/eta (the annealed update).
     """
     q = float(u.dot(au))
     if q <= 0.0:
@@ -62,22 +55,6 @@ def _replicator_update(u: np.ndarray, au: np.ndarray, eta: float) -> np.ndarray:
     return m
 
 
-def pelillo_step(g: Graph, u: np.ndarray) -> np.ndarray:
-    """One replicator update on the probability simplex."""
-    u = np.asarray(u, dtype=np.float64)
-    return _replicator_update(u, g.adj_matvec(u), 1.0)
-
-
-def ding_step(g: Graph, u: np.ndarray, eta: float) -> np.ndarray:
-    """One annealed update on the eta-simplex.
-
-    With eta = 1 this is bitwise identical to pelillo_step.
-    """
-    _check_eta(eta)
-    u = np.asarray(u, dtype=np.float64)
-    return _replicator_update(u, g.adj_matvec(u), eta)
-
-
 def run_baseline(g: Graph, kind: str, eta: float = ETA) -> tuple[np.ndarray, int, bool]:
     """Iterate a baseline from the uniform feasible start.
 
@@ -86,7 +63,8 @@ def run_baseline(g: Graph, kind: str, eta: float = ETA) -> tuple[np.ndarray, int
     converged); converged means the squared step length dropped below
     TOL on a step after the first, within MAX_ITERATIONS steps.
     """
-    _check_eta(eta)
+    if not 1.0 <= eta <= 2.0:
+        raise ValueError(f"eta must lie in [1, 2], got {eta}")
     if kind not in ("pelillo", "ding"):
         raise ValueError(f"unknown baseline kind {kind!r}")
     if g.edge_count == 0:

@@ -1,57 +1,22 @@
 """Undirected graph container and input formats.
 
 Graphs are simple and undirected: no self-loops, no duplicate edges,
-0-based vertex indices internally.  Constructors accept dirty edge input
-(duplicates, swapped endpoints, self-loops) and canonicalize it through
-the flat keys src*n + dst of both orientations: marked in one n x n
-bitmap when that takes no more bytes than a sort's two key arrays (n² at
-most 8 bytes per pair), else sorted once.  One helper (_structure) turns
-the ascending keys into the CSR arrays, for these graphs, for random
-graphs (whose draws are written straight into a bitmap's upper
-triangle) and for the non-edges that adj_matvec may store.  Co-occurrence
-graphs are read straight off the sorted CSR arrays of X X^T.  The DIMACS
-reader and the coordinate-matrix reader share one line tokenizer (_records),
-which reports malformed lines by line number, a non-ASCII character
-outside a comment line included.  Files are read as bytes, so a comment
-line in a file may hold any bytes.  DIMACS files use 1-based vertex
-labels on disk.
+0-based vertex indices internally; DIMACS files use 1-based labels on
+disk.  Constructors accept dirty edge input (duplicates, swapped
+endpoints, self-loops) and canonicalize it through the flat keys
+v*n + w of both orientations (_graph_from_pairs), which one helper
+(_structure) turns into CSR arrays.
 
-Each format has a standard layout that is read in vectorised passes
-over chunks of its body: comment lines, one header line, then only
-lines of ASCII-digit fields with single spaces and LF or CRLF endings,
-`e u v` for DIMACS as serialize_dimacs writes it and `row col count`
-for a coordinate matrix as a count writer produces it.  Both go through
-one scanner (_standard_chunks), which checks each chunk of about 64 KiB
-and reads its fields by position from the separators the checks find:
-the spaces, found in one scan, and the LFs, which a DIMACS chunk derives
-from its spaces (an edge line's LF sits two bytes before the next
-line's lead space) and a coordinate chunk scans for.  A field's digits
-are read through tables of digit values weighted by their place.
-DIMACS pairs go chunk by chunk into the graph build, so no array over
-the whole body is held.  Every other layout, and every malformed file,
-goes through the line-by-line reader, which gives the same result or
-names the first bad line.  Both readers refuse a header asking for more
-than MAX_VERTICES vertices (or rows or columns) before any graph array
-is allocated.
+Files are read as bytes, so a comment line may hold any bytes.  A file
+in its format's standard layout is read in vectorised passes over
+chunks of its body (_standard_chunks); every other layout, and every
+malformed file, goes through the line-by-line reader (_records), which
+gives the same result or names the first bad line.  Both readers refuse
+a header asking for more than MAX_VERTICES vertices (or rows or
+columns) before any graph array is allocated.
 
-Graph.adj_matvec, the one adjacency product the solver, the baselines
-and the clique checks use, makes one pass over one of three stored
-forms, chosen by entry counts alone: the dense 0/1 matrix of A when the
-sparser of A and the non-edge adjacency Ā still holds at least 9/20 of
-the n² entries, else the CSR of whichever of A and Ā has fewer entries.
-The 9/20 comes from a crossover table (tools/operator_crossover.py,
-committed in BENCH_9.json, re-run in README with the bound kernels) of
-dense against sparse passes for n from 100 to 4000: at that share the
-dense pass is faster up to n = 1000, while at n = 2000 and 4000 it
-ranges from 6% slower to 14% faster over four runs of the table.  The
-dense form's 8n² bytes stay within 1.5x of the CSR it replaces.  One
-cached property, Graph._pass, makes that choice on the first pass, not
-at ingest, and binds the chosen form's kernel to its arrays.  The dense
-and Ā builds write the graph's entries into an n x n array one block
-of keys at a time (_scatter_entries), so the first pass's working
-memory is the stored form plus one block: on hamming10_2 (the Ā form)
-its traced peak is 1.6 MB over the graph's arrays, the 1 MB bitmap and
-a 0.5 MB block, where one key per stored entry of A took 9.4 MB.
+Graph.adj_matvec is the one adjacency product that the solver, the
+baselines and the clique checks use; Graph._pass chooses its stored form.
 """
 
 from __future__ import annotations
@@ -143,7 +108,7 @@ class Graph:
     @cached_property
     def _pass(self) -> Callable[[np.ndarray], np.ndarray]:
         """u -> A u, bound on the first pass to one of three stored forms,
-        kept by entry counts alone:
+        chosen by entry counts alone:
 
         * the dense float64 0/1 matrix of A, through _dense_pass, once the
           sparser of A and Ā still holds at least 9/20 of the n² entries.
@@ -154,7 +119,10 @@ class Graph:
           fast for n <= 1000, but from 6% slower to 14% faster at
           n = 2000 and 4000, so near the lower edge of the band it is not
           always the faster form; at 7/20 it is up to 26% slower.  Its
-          memory, 8n² bytes, stays within 1.5x of the CSR it replaces;
+          memory, 8n² bytes, stays within 1.5x of the CSR it replaces.
+          One share for every n keeps the rule free of cache sizes; a
+          different form groups the sums differently, and so changes
+          the results;
         * else the 0/1 CSR of Ā when it has fewer entries than A
           (4·edge_count > n(n-1)), through _csr_kernel and then
           _complement_pass;
@@ -174,12 +142,8 @@ class Graph:
 
     def adj_matvec(self, u: np.ndarray) -> np.ndarray:
         """Adjacency-matrix product A @ u in one pass over the stored
-        form (see _pass): a dense dgemv over A on half-dense graphs, else
-        a sparse pass over whichever of A and Ā has fewer entries.
-
-        A = J - I - Ā, so on the complement side A u = (sum(u) - u) - Ā u.
-        For a 0/1 vector u every form gives exact integer counts.
-        """
+        form that _pass binds.  For a 0/1 vector u every form gives exact
+        integer counts."""
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.n,):
             raise ValueError(f"vector has shape {u.shape}, expected ({self.n},)")
@@ -190,10 +154,8 @@ class Graph:
 
 def _form_pass(g: Graph, form: str) -> Callable[[np.ndarray], np.ndarray]:
     """u -> A u over one stored form of g's operator, built and bound to
-    its kernel: "dense" (_dense_pass), "csr_of_complement" (_csr_kernel
-    over Ā, then _complement_pass) or "csr_of_a" (_csr_kernel over A).
-    Graph._pass and tools/operator_crossover.py both bind forms here.
-    Partials of module functions keep a graph picklable."""
+    its kernel: "dense", "csr_of_complement" or "csr_of_a" (see
+    Graph._pass).  Partials of module functions keep a graph picklable."""
     if form == "dense":
         return partial(_dense_pass, _dense_adjacency(g))
     if form == "csr_of_complement":
@@ -204,7 +166,8 @@ def _form_pass(g: Graph, form: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _complement_pass(kernel: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> np.ndarray:
-    """A u = (sum(u) - u) - Ā u, in the array of Ā u = kernel(u)."""
+    """A u = (sum(u) - u) - Ā u, since A = J - I - Ā, in the array of
+    Ā u = kernel(u)."""
     au = kernel(u)
     return np.subtract(float(np.add.reduce(u)) - u, au, out=au)
 
@@ -976,11 +939,6 @@ class CliqueSet:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    @classmethod
-    def from_indicator(cls, u: np.ndarray) -> "CliqueSet":
-        """Vertices where the binary indicator is positive."""
-        return cls._of_sorted(np.nonzero(np.asarray(u) > 0)[0])
 
     @classmethod
     def _of_sorted(cls, vertices: np.ndarray) -> "CliqueSet":

@@ -8,49 +8,14 @@ penalized with a negative weight -d, giving the implicit matrix
 
 Minimizing ||M_d - u u^T||_F^2 over u >= 0 with a large enough penalty
 drives u toward the 0/1 indicator vector of a maximal clique, and the
-squared norm of the minimizer equals the clique size.  The solver runs
-projected gradient descent while growing d by the constant factor
-GAMMA each iteration up to a graph-dependent cap; an iterate is declared
-converged once every coordinate is numerically binary and its rounding
-is a maximal clique.  In place of the paper's Armijo backtracking, each
-step is an exact line search along the projected chord, where the
-objective's change is a quartic in the step length, and the step size
-alpha follows where the minimizer fell (the constant BETA).
+squared norm of the minimizer equals the clique size.  solve runs
+projected gradient descent while the penalty grows, each step an exact
+line search in place of the paper's Armijo backtracking.
 
-M_d is never materialized: M_d u = (1 + d) (A u + u) - d * sum(u) needs
-one product A u from Graph.adj_matvec.  That is one pass over the
-graph's stored operator: the dense 0/1 matrix of A on graphs near half
-density, else a sparse pass over A or, on graphs with more than half of
-all pairs as edges, over the sparser non-edge adjacency.  The graph
-binds the pass's kernel once, on its first pass: the blocked dgemv over
-the dense matrix, or scipy's csr_matvec over the CSR arrays without the
-dispatch of @.  Each iteration makes one pass, A p along its chord, and
-SolverState carries A u + t A p to the next iterate.
-
-Besides that pass a step makes seven reductions: u.(M_d u) for the
-objective, u.p, p.p, sum(p), u.(A p) and p.(A p) for the chord's
-quartic, and sum(u) and u.u of the new iterate, which SolverState
-carries to the next step's objective and to solve's band screen
-(_band_screen): the band test's four vector passes run only on iterates
-whose two sums allow every coordinate to lie in a band.  The step forms
-no gradient array: it takes the half gradient r = u.u u - M_d u and
-its candidate as r (-2 alpha) + u, bit for bit g (-alpha) + u since
-both doublings are exact.  Its guard against divergence is the one
-scalar test of a finite objective: on every state that keeps
-SolverState's contract a finite objective bounds u, M_d u and so r far
-below overflow (the proof is _objective_and_residual's).  The step's
-vectors are updated in place, in the operand order of the plain
-formulas, so the iterates are bit for bit those of the formulas as
-written; p takes M_d u's array, the clamps a 0-d zero, and A p is
-scaled by t only when t < 1.  Inner products use ndarray.dot, the BLAS
-ddot of @ without the matmul dispatch, sums np.add.reduce, the pairwise
-sum of ndarray.sum without its Python layer, and boolean reductions
-np.count_nonzero, which skips ndarray.any's.
-
-A rounding is certified as an index array: the sorted int64
-np.flatnonzero(u > 0.5), compared with the last one checked and handed
-to is_maximal_clique as it is; the result's CliqueSet is built once,
-from the certified array.
+M_d is never materialized: M_d u = (1 + d) (A u + u) - d sum(u) needs
+one product A u from Graph.adj_matvec (see Graph._pass).  The step
+updates its vectors in place, in the operand order of the plain
+formulas, so its iterates are bit for bit those of the formulas.
 """
 
 from __future__ import annotations
@@ -90,9 +55,7 @@ def _check_count(name: str, k) -> None:
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs for the projected gradient solver.  The penalty's
-    growth factor and the step-size rule are the constants GAMMA and BETA;
-    its cap is always d_max(g) = 2 n ||B||_F, where every local minimizer
-    rounds to a maximal clique.
+    growth (GAMMA), its cap d_max(g) and the step rule (BETA) are fixed.
 
     d0_override          : starting penalty, finite and positive
                            (default: Frobenius-balance value), clamped to d_max
@@ -123,10 +86,9 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class ArmijoStep:
-    """Diagnostics of one outer iteration's line search.  There is one
-    chord evaluation per iteration, so trials is always 1.  u, the new
-    iterate, is kept only on the steps that solve(record_iterates=True)
-    records."""
+    """Diagnostics of one outer iteration's line search; trials is always
+    1.  u, the new iterate, is kept only on the steps that
+    solve(record_iterates=True) records."""
 
     d: float
     alpha_used: float
@@ -144,10 +106,9 @@ class SolverState:
     u >= 0, au is A u, carried from the pass that computed it, and
     0 <= d <= d_cap; on such a state a finite objective implies a finite
     gradient (_objective_and_residual).  last_step carries the latest
-    line-search diagnostics.  d_cap is the penalty cap
-    d_max(g), carried from step to step; left at None, the first step
-    computes it.  su and uu are sum(u) and u.u, taken from u's own
-    float64 array when the state is made.
+    line-search diagnostics.  d_cap is the penalty cap d_max(g); left at
+    None, the first step computes it.  su and uu are sum(u) and u.u,
+    taken from u's own float64 array when the state is made.
     """
 
     u: np.ndarray
@@ -214,7 +175,7 @@ def md_norm_sq(g: Graph, d: float) -> float:
 
 
 def _sum_and_square(u: np.ndarray) -> tuple[float, float]:
-    """(sum(u), u.u): np.add.reduce's pairwise sum and the BLAS ddot."""
+    """(sum(u), u.u), as SolverState carries them."""
     return float(np.add.reduce(u)), float(u.dot(u))
 
 
@@ -231,9 +192,7 @@ def _objective_and_residual(
     d: float, u: np.ndarray, au: np.ndarray, su: float, uu: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """(objective_shifted, r = u.u u - M_d u, M_d u) from au = A u,
-    su = sum(u) and uu = u.u, with r and M_d u in two new arrays.  The
-    gradient is 2 r, exactly; the step reuses M_d u's array once r is
-    formed.
+    su = sum(u) and uu = u.u, r and M_d u in new arrays; the gradient is 2 r.
 
     On a state that keeps SolverState's contract, a finite objective
     implies that r and 2 r are finite, so the step tests only f.  The
@@ -270,20 +229,14 @@ def _objective_and_residual(
 
 
 def md_matvec(g: Graph, d: float, u: np.ndarray) -> np.ndarray:
-    """Product M_d @ u without forming M_d.
-
-    M_d = (1 + d) (A + I) - d * ones, so the product is one adjacency
-    pass plus two rank-one corrections:
-    (1 + d) (A u + u) - d * sum(u) * ones.
-    """
+    """Product M_d @ u without forming M_d, from one adjacency pass."""
     u = np.asarray(u, dtype=np.float64)
     return _md_product(d, u, g.adj_matvec(u), float(np.add.reduce(u)))
 
 
 def objective_shifted(g: Graph, d: float, u: np.ndarray) -> float:
-    """The approximation objective with its constant term dropped:
-    -u^T M_d u + 0.5 ||u||_2^4.  The full squared error is
-    2 * objective_shifted + md_norm_sq."""
+    """-u^T M_d u + 0.5 ||u||_2^4, the objective less its constant term:
+    ||M_d - u u^T||_F^2 = 2 * objective_shifted + md_norm_sq."""
     u = np.asarray(u, dtype=np.float64)
     return _objective_and_residual(d, u, g.adj_matvec(u), *_sum_and_square(u))[0]
 
@@ -384,17 +337,14 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
 
     f(u + t p) - f(u) = q1 t + q2 t^2 + q3 t^3 + q4 t^4 comes from one
     pass A p and a few scalars, so it sees decreases far below one ulp of
-    f.  The step goes to its minimizer t* over [0, 1], and A u + t* A p is
-    carried.  alpha then follows BETA; it stays put if p = 0.
-    The name and ArmijoStep's trials (always 1) and accepted (t* > 0)
-    stay because perfbench/tracing.py reads them.
+    f.  The step goes to its minimizer t* over [0, 1], carries
+    A u + t* A p and moves alpha by BETA (not at all if p = 0).  The name
+    and ArmijoStep's trials and accepted stay for perfbench/tracing.py.
 
     Raises NumericalDivergenceError when f(u) is not finite, which on a
     state that keeps SolverState's contract is also when the gradient is
     not (_objective_and_residual), or when the chord's coefficients are
-    not.  The candidate is r (-2 alpha) + u with r the half gradient:
-    both doublings are exact (for 2 alpha finite), so it equals
-    g (-alpha) + u bit for bit.
+    not.
     """
     u, au, su, uu = state.u, state.au, state.su, state.uu
     d = float(state.d)
@@ -406,7 +356,8 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     if not math.isfinite(f_old):
         raise NumericalDivergenceError("non-finite objective or gradient", u)
 
-    # [u - alpha g]_+ in r's array, as r (-2 alpha) + u
+    # [u - alpha g]_+ in r's array, as r (-2 alpha) + u: both doublings
+    # are exact (for 2 alpha finite), so it equals g (-alpha) + u
     cand = r
     cand *= -2.0 * alpha
     cand += u
@@ -487,25 +438,22 @@ def solve(
     """Run the penalized rank-one solver from a seeded random start.
 
     Starts from u ~ Uniform(0, 1)^n with the balance penalty d0 (or
-    d0_override), clamped to d_max(g), and step
-    alpha0 = 0.1 ||u0|| / ||grad(u0)||, then repeats
-    armijo_outer_iteration until the run converges or
-    max_outer_iterations is hit.
+    d0_override) clamped to d_max(g) and alpha0 = 0.1 ||u0|| /
+    ||grad(u0)||, then repeats armijo_outer_iteration until the run
+    converges or max_outer_iterations is hit.
 
     Converged means certified: at each iteration whose coordinates are
-    all numerically binary (a test made only when the iterate's carried
-    sum(u) and u.u pass _band_screen, which every binary iterate
-    passes), the coordinatewise rounding is checked
-    unless it equals the last rounding checked, and the run stops when
-    it is a maximal clique.  A rounding that is not maximal, such as
-    that of an iterate at a symmetric saddle next to a non-maximal
-    clique (see README, Design notes), does not stop it; a run held
-    there ends at max_outer_iterations.  Non-converged runs report the
-    final iterate's rounding as-is, with its validity flags both taken
-    in one adjacency pass.  The final iterate's stationarity residual
-    is not taken here, which saves a pass: for a nonzero final iterate,
-    stationarity_residual(g, d_max(g), result.u_final) gives it at the
-    penalty cap.
+    all numerically binary (tested only on iterates that pass
+    _band_screen), the coordinatewise rounding is checked unless it
+    equals the last rounding checked, and the run stops when it is a
+    maximal clique.  A rounding that is not maximal, such as that of an
+    iterate at a symmetric saddle next to a non-maximal clique (see
+    README, Design notes), does not stop it; a run held there ends at
+    max_outer_iterations.  Non-converged runs report the final
+    iterate's rounding as-is, with its validity flags.  The final
+    iterate's stationarity residual is not taken here, which saves a
+    pass: for a nonzero final iterate, stationarity_residual(g,
+    d_max(g), result.u_final) gives it at the penalty cap.
 
     Raises EdgelessGraphError when the graph has no edges: every
     maximal clique is a singleton and the penalized problem is trivial.

@@ -73,6 +73,49 @@ def exhaustive_max_clique(a: np.ndarray) -> tuple[int, ...]:
     return best
 
 
+def kkt_points(a: np.ndarray, d: float) -> list[tuple[tuple[int, ...], np.ndarray, float, float]]:
+    """The nonzero KKT points of min ||M_d - u u^T||_F^2 over u >= 0,
+    taken support by support, as (S, u, slack, curvature).
+
+    u is stationary on the face of support S exactly when u_S = sqrt(lam)
+    v / ||v|| for an eigenpair (lam, v) of M_d[S, S] with lam > 0 and
+    v > 0; it is a KKT point when also (M_d u)_j <= 0 for every j off S.
+    slack is the largest (M_d u)_j off S (-inf when S is every vertex),
+    and curvature the least eigenvalue of the face Hessian
+    2 (||u||^2 I + 2 u u^T - M_d)[S, S].  A repeated positive eigenvalue
+    whose eigenspace is not orthogonal to the ones vector raises
+    ValueError: its eigenspace may hold a continuum of positive
+    eigenvectors, of which eigh returns an arbitrary basis.
+    """
+    n = len(a)
+    md = dense_md(a, d)
+    points = []
+    for k in range(1, n + 1):
+        supports = np.array(list(combinations(range(n), k)), dtype=np.int64)
+        lams, vecs = np.linalg.eigh(md[supports[:, :, None], supports[:, None, :]])
+        for S, lam, vec in zip(supports, lams, vecs):
+            tol = 1e-9 * max(1.0, float(np.abs(lam).max()))
+            for i in np.flatnonzero(lam > tol):
+                same = np.abs(lam - lam[i]) <= tol
+                if np.count_nonzero(same) > 1 and np.abs(vec[:, same].sum(axis=0)).max() > 1e-9:
+                    raise ValueError(f"repeated eigenvalue {lam[i]} on support {tuple(S.tolist())}")
+                v = vec[:, i] * np.sign(vec[:, i].sum())
+                if v.min() <= 1e-9:
+                    continue
+                u = np.zeros(n)
+                u[S] = math.sqrt(lam[i]) * v
+                mdu = md @ u
+                off = np.ones(n, dtype=bool)
+                off[S] = False
+                slack = float(mdu[off].max()) if off.any() else -math.inf
+                if slack > 1e-9:
+                    continue
+                us = u[S]
+                hess = 2.0 * ((us @ us) * np.eye(k) + 2.0 * np.outer(us, us) - md[np.ix_(S, S)])
+                points.append((tuple(S.tolist()), u, slack, float(np.linalg.eigvalsh(hess)[0])))
+    return points
+
+
 def graph_arrays_reference(n: int, pairs) -> tuple[np.ndarray, np.ndarray, int]:
     """(indptr, indices, edge_count) of the simple graph on dirty 0-based
     pairs: np.unique over canonical (lo, hi) keys, then a two-key lexsort

@@ -32,7 +32,7 @@ from rankclique import (
     solve,
     stationarity_residual,
 )
-from rankclique.baselines import ding_step, pelillo_step
+from rankclique.baselines import _replicator_update
 from rankclique.solver import gradient, md_norm_sq, objective_shifted, round_phi
 from oracles import central_diff_gradient, hamming_graph, johnson_graph
 
@@ -414,7 +414,7 @@ class TestAcceptance:
             u = np.full(g.n, 1.0 / g.n)
             prev = float(u @ g.adj_matvec(u))
             for _ in range(100):
-                u = pelillo_step(g, u)
+                u = _replicator_update(u, g.adj_matvec(u), 1.0)
                 if abs(float(u.sum()) - 1.0) > 1e-12 or (u < 0).any():
                     bad += 1
                     break
@@ -425,7 +425,7 @@ class TestAcceptance:
                 prev = q
             v = np.full(g.n, g.n ** (-1.0 / eta))
             for _ in range(30):
-                v = ding_step(g, v, eta)
+                v = _replicator_update(v, g.adj_matvec(v), eta)
                 if abs(float((v**eta).sum()) - 1.0) > 1e-12:
                     bad += 1
                     break
@@ -443,7 +443,7 @@ class TestAcceptance:
             for _ in range(1000):
                 q = float(u @ g.adj_matvec(u))
                 worst_gap = max(worst_gap, q - ms)
-                u_next = pelillo_step(g, u)
+                u_next = _replicator_update(u, g.adj_matvec(u), 1.0)
                 delta = u_next - u
                 u = u_next
                 if float(delta @ delta) < 1e-10:

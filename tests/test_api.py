@@ -1,10 +1,12 @@
-"""The package's public names, and the hooks the benchmark's tracer
-wraps by name (perfbench/tracing.py), so that a rename fails here and
-not only in the benchmark's own tests."""
+"""The package's public names, the hooks the benchmark's tracer wraps
+by name (perfbench/tracing.py), so that a rename fails here and not only
+in the benchmark's own tests, and the rule that every name in src/ has a
+caller."""
 
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -33,7 +35,6 @@ PUBLIC = set(
 
 # names that live only in their modules
 MODULE_ONLY = {
-    "baselines": ["ding_step", "pelillo_step"],
     "graph": ["parse_coordinate_matrix"],
     "harness": ["ALGORITHMS", "VerifyCheck", "run_algorithm"],
     "solver": [
@@ -90,6 +91,57 @@ def test_module_only_names_import_from_their_module(module):
     for name in MODULE_ONLY[module]:
         assert hasattr(mod, name), f"rankclique.{module}.{name}"
         assert name not in rankclique.__all__
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# names kept with no caller in the program, each with its reason
+UNCALLED = {
+    "round_phi": "acceptance 9's reference rounding",
+}
+
+
+def _references() -> list[tuple[str, Path, int]]:
+    """(name, file, line) of every name, attribute and string constant in
+    the program's source: src/, tools/, demos/ and perfbench/.  The
+    tracer names the functions it wraps by string."""
+    refs = []
+    for path in sorted(p for d in ("src", "tools", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.append((node.value, path, node.lineno))
+    return refs
+
+
+def test_every_name_has_a_caller():
+    # a top-level function or class, or a public method, that nothing
+    # outside its own body names is dead vocabulary, unless it is
+    # exported or kept for a stated reason
+    refs = _references()
+    uncalled = []
+    for path in sorted((ROOT / "src" / "rankclique").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                defs += [
+                    (f"{top.name}.{m.name}", m)
+                    for m in top.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+            for qualified, node in defs:
+                called = any(
+                    name == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+                    for name, where, line in refs
+                )
+                if not (called or qualified in rankclique.__all__ or qualified in UNCALLED):
+                    uncalled.append(qualified)
+    assert uncalled == []
 
 
 def _traced_functions() -> tuple[tuple[str, str], ...]:

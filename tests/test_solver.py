@@ -48,10 +48,13 @@ from oracles import (
     chord_quartic_dense,
     dense_adjacency,
     dense_md,
+    exhaustive_maximal_cliques,
     full_objective_dense,
+    kkt_points,
     plain_chord_step,
     plain_guard_fails,
     quartic_min_reference,
+    subset_is_clique,
 )
 
 
@@ -156,6 +159,44 @@ class TestStationarity:
     def test_zero_vector_rejected(self, k3):
         with pytest.raises(ValueError, match="zero vector"):
             stationarity_residual(k3, 3.0, np.zeros(3))
+
+
+class TestKKTCensus:
+    """The paper's correspondence on every labelled graph with 2 to 5
+    vertices and at least one edge, at d = n and at d = d_max: a KKT
+    point is a strict local minimizer exactly when its support is a
+    maximal clique."""
+
+    def test_strict_minimizers_are_the_maximal_cliques(self):
+        counts = dict(maximal=0, non_clique=0)
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1, 1 << len(pairs)):
+                g = graph_from_edge_list(n, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
+                a = dense_adjacency(g)
+                maximal = set(exhaustive_maximal_cliques(a))
+                for d in (float(n), d_max(g)):
+                    points = kkt_points(a, d)
+                    assert maximal <= {S for S, *_ in points}
+                    for S, u, slack, curvature in points:
+                        assert stationarity_residual(g, d, u) < 1e-9
+                        strict = slack < 0.0 and curvature > 0.0
+                        assert strict == (S in maximal), (n, mask, d, S)
+                        if S in maximal:
+                            counts["maximal"] += 1
+                        else:
+                            # no KKT point lies on a non-maximal clique
+                            assert not subset_is_clique(a, S), (n, mask, d, S)
+                            assert curvature < -1e-8, (n, mask, d, S)
+                            counts["non_clique"] += 1
+        assert counts == dict(maximal=7420, non_clique=6020)
+
+    def test_a_repeated_positive_eigenvalue_is_refused(self):
+        # at d = 0 two non-adjacent vertices give M_d[S, S] = I, whose
+        # every positive unit vector is a stationary point
+        a = dense_adjacency(graph_from_edge_list(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError, match="repeated eigenvalue"):
+            kkt_points(a, 0.0)
 
 
 class TestBallLift:
