@@ -13,11 +13,8 @@ deliberately stops at the first non-extending vertex and does not try
 to repair or extend further; callers wanting guaranteed maximality must
 extend the result themselves.
 
-run_baseline stops once the squared step length ||u_next - u||_2^2
-drops below TOL, or after MAX_ITERATIONS steps; ETA is the annealed
-variant's default exponent.  A run whose first step already meets the
-stop test never left its start, the barycenter, which is a fixed point
-of both updates on every regular graph; it stops there unconverged.
+ETA is the annealed variant's default exponent; TOL and MAX_ITERATIONS
+are run_baseline's stop rule.
 """
 
 from __future__ import annotations
@@ -55,13 +52,39 @@ def _replicator_update(u: np.ndarray, au: np.ndarray, eta: float) -> np.ndarray:
     return m
 
 
+def _replicator_steps(g: Graph, kind: str, eta: float):
+    """The baselines' one loop, as run_baseline states it: from the
+    uniform feasible start of kind, yield (u, A u) at every point a step
+    leaves, from that step's own pass, then take the step, which writes
+    over A u.  Returns run_baseline's (final weights, iterations,
+    converged) when the stop rule ends the loop."""
+    if kind == "pelillo":
+        u, eta = np.full(g.n, 1.0 / g.n), 1.0
+    else:
+        u = np.full(g.n, g.n ** (-1.0 / eta))  # uniform point of the eta-simplex
+    delta = np.empty(g.n)
+    for it in range(1, MAX_ITERATIONS + 1):
+        au = g.adj_matvec(u)
+        yield u, au
+        u_next = _replicator_update(u, au, eta)
+        np.subtract(u_next, u, out=delta)
+        u = u_next
+        if float(delta.dot(delta)) < TOL:
+            return u, it, it > 1
+    return u, MAX_ITERATIONS, False
+
+
 def run_baseline(g: Graph, kind: str, eta: float = ETA) -> tuple[np.ndarray, int, bool]:
-    """Iterate a baseline from the uniform feasible start.
+    """Iterate a baseline from the uniform feasible start to its stop rule.
 
     kind is "pelillo" or "ding"; eta, in [1, 2], is ding's exponent and
     is checked for either kind.  Returns (final weights, iterations,
-    converged); converged means the squared step length dropped below
-    TOL on a step after the first, within MAX_ITERATIONS steps.
+    converged).  The run stops once the squared step length
+    ||u_next - u||_2^2 drops below TOL, or after MAX_ITERATIONS steps;
+    converged means the former, on a step after the first.  A run whose
+    first step already meets the stop test never left its start, the
+    barycenter, which is a fixed point of both updates on every regular
+    graph; it stops there unconverged.  _replicator_steps is the loop.
     """
     if not 1.0 <= eta <= 2.0:
         raise ValueError(f"eta must lie in [1, 2], got {eta}")
@@ -69,20 +92,12 @@ def run_baseline(g: Graph, kind: str, eta: float = ETA) -> tuple[np.ndarray, int
         raise ValueError(f"unknown baseline kind {kind!r}")
     if g.edge_count == 0:
         raise EdgelessGraphError("no edges: baseline iteration is undefined")
-
-    if kind == "pelillo":
-        u, eta = np.full(g.n, 1.0 / g.n), 1.0
-    else:
-        u = np.full(g.n, g.n ** (-1.0 / eta))  # uniform point of the eta-simplex
-
-    delta = np.empty(g.n)
-    for it in range(1, MAX_ITERATIONS + 1):
-        u_next = _replicator_update(u, g.adj_matvec(u), eta)
-        np.subtract(u_next, u, out=delta)
-        u = u_next
-        if float(delta.dot(delta)) < TOL:
-            return u, it, it > 1
-    return u, MAX_ITERATIONS, False
+    steps = _replicator_steps(g, kind, eta)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as end:
+        return end.value
 
 
 def postprocess_greedy(g: Graph, u: np.ndarray) -> CliqueSet:

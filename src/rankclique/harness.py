@@ -18,9 +18,7 @@ import numpy as np
 
 from .baselines import (
     ETA,
-    MAX_ITERATIONS,
-    TOL,
-    _replicator_update,
+    _replicator_steps,
     extend_to_maximal,
     postprocess_greedy,
     run_baseline,
@@ -309,9 +307,11 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         )
     )
 
-    # converged solves must round to maximal cliques; one recorded solve
-    # per seed also feeds the weight bound below, and a seed whose solve
-    # diverges counts once, as a violation here
+    # converged solves must round to maximal cliques, as enumerated
+    # above, whatever flags solve set; one recorded solve per seed also
+    # feeds the weight bound below, and a seed whose solve diverges
+    # counts once, as a violation here
+    maximal_vertex_sets = {c.vertices for c in maximal_cliques}
     bad = 0
     runs: list[SolverResult] = []
     for s in seeds:
@@ -321,7 +321,7 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
             bad += 1
             continue
         runs.append(res)
-        if res.converged and not (res.clique_valid and res.clique_maximal):
+        if res.converged and res.clique.vertices not in maximal_vertex_sets:
             bad += 1
     checks.append(
         VerifyCheck(
@@ -384,28 +384,18 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         )
     )
 
-    # replicator iterates never beat the simplex relaxation optimum; one
-    # adjacency pass per step gives both u^T A u and the step
+    # the Pelillo baseline's iterates never beat the simplex relaxation
+    # optimum; its own loop hands over each step's A u before the step
     ms_bound = 1.0 - 1.0 / omega + 1e-9
-    u = np.full(g.n, 1.0 / g.n)
-    ms_ok = True
     worst_q = 0.0
-    for _ in range(MAX_ITERATIONS):
-        au = g.adj_matvec(u)
-        q = float(u @ au)
-        worst_q = max(worst_q, q)
-        if q > ms_bound:
-            ms_ok = False
-            break
-        u_next = _replicator_update(u, au, 1.0)
-        delta = u_next - u
-        u = u_next
-        if float(delta @ delta) < TOL:
+    for u, au in _replicator_steps(g, "pelillo", 1.0):
+        worst_q = max(worst_q, float(u @ au))
+        if worst_q > ms_bound:
             break
     checks.append(
         VerifyCheck(
             "motzkin_straus_bound",
-            ms_ok,
+            worst_q <= ms_bound,
             f"max u^T A u {worst_q:.12f} vs 1 - 1/{omega} + 1e-9",
         )
     )
@@ -440,13 +430,14 @@ def cmd_ingest_text(
     The file is parsed and the shared-word counts formed once, at the
     smallest threshold; each threshold then only filters them.  An empty
     p_values or a threshold below 1 raises ValueError before the file is
-    read or out_dir made.
+    read; out_dir is made only once the file has parsed, so a missing
+    or malformed file leaves no directory behind.
     """
     p_min = _least_threshold(p_values)
     coord_path = Path(coord_path)
+    shared = _shared_term_counts(coord_path.read_bytes(), p_min)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shared = _shared_term_counts(coord_path.read_bytes(), p_min)
     results: list[IngestResult] = []
     for p in p_values:
         g = _cooccurrence_from_counts(shared, p)

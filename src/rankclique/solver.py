@@ -106,15 +106,18 @@ class SolverState:
     u >= 0, au is A u, carried from the pass that computed it, and
     0 <= d <= d_cap; on such a state a finite objective implies a finite
     gradient (_objective_and_residual).  last_step carries the latest
-    line-search diagnostics.  d_cap is the penalty cap d_max(g); left at
-    None, the first step computes it.  su and uu are sum(u) and u.u,
-    taken from u's own float64 array when the state is made.
+    line-search diagnostics.  d_cap is the penalty cap d_max(g) and
+    alpha the step size; left at None, the first step computes each,
+    alpha as alpha0 = 0.1 ||u|| / ||grad(u)||, or 1 when the gradient
+    is 0, with ||x|| = sqrt(x.x) as np.linalg.norm takes it.  su and uu
+    are sum(u) and u.u, taken from u's own float64 array when the state
+    is made.
     """
 
     u: np.ndarray
     au: np.ndarray
     d: float
-    alpha: float
+    alpha: float | None
     iteration: int = 0
     last_step: ArmijoStep | None = None
     d_cap: float | None = None
@@ -348,13 +351,18 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     """
     u, au, su, uu = state.u, state.au, state.su, state.uu
     d = float(state.d)
-    alpha = alpha_used = float(state.alpha)
     d_cap = state.d_cap if state.d_cap is not None else d_max(g)
 
     f_old, r, mdu = _objective_and_residual(d, u, au, su, uu)
     # a finite f_old implies a finite gradient (_objective_and_residual)
     if not math.isfinite(f_old):
         raise NumericalDivergenceError("non-finite objective or gradient", u)
+    alpha = state.alpha
+    if alpha is None:
+        grad = r * 2.0
+        grad_norm = math.sqrt(grad.dot(grad))
+        alpha = 0.1 * math.sqrt(uu) / grad_norm if grad_norm > 0 else 1.0
+    alpha = alpha_used = float(alpha)
 
     # [u - alpha g]_+ in r's array, as r (-2 alpha) + u: both doublings
     # are exact (for 2 alpha finite), so it equals g (-alpha) + u
@@ -438,9 +446,9 @@ def solve(
     """Run the penalized rank-one solver from a seeded random start.
 
     Starts from u ~ Uniform(0, 1)^n with the balance penalty d0 (or
-    d0_override) clamped to d_max(g) and alpha0 = 0.1 ||u0|| /
-    ||grad(u0)||, then repeats armijo_outer_iteration until the run
-    converges or max_outer_iterations is hit.
+    d0_override) clamped to d_max(g) and the step size left to the first
+    step (SolverState), then repeats armijo_outer_iteration until the
+    run converges or max_outer_iterations is hit.
 
     Converged means certified: at each iteration whose coordinates are
     all numerically binary (tested only on iterates that pass
@@ -468,14 +476,7 @@ def solve(
     d_cap = d_max(g)
     d0 = min(float(d0), d_cap)
 
-    state = SolverState(u=u0, au=g.adj_matvec(u0), d=d0, alpha=1.0, d_cap=d_cap)
-    # alpha0 = 0.1 ||u0|| / ||grad(u0)||, with ||x|| = sqrt(x.x) as
-    # np.linalg.norm takes it, and u0.u0 the state's
-    grad0 = _objective_and_residual(d0, state.u, state.au, state.su, state.uu)[1]
-    grad0 *= 2.0
-    grad_norm = math.sqrt(grad0.dot(grad0))
-    if grad_norm > 0:
-        state.alpha = 0.1 * math.sqrt(state.uu) / grad_norm
+    state = SolverState(u=u0, au=g.adj_matvec(u0), d=d0, alpha=None, d_cap=d_cap)
 
     n, tol = g.n, cfg.binary_tol
     trace: list[float] = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,7 +311,8 @@ class TestCmdVerify:
         adj_matvec = Graph.adj_matvec
 
         def counted(self, u):
-            callers[sys._getframe(1).f_code.co_name] += 1
+            caller = sys._getframe(1)
+            callers[caller.f_code.co_name, caller.f_back.f_code.co_name] += 1
             return adj_matvec(self, u)
 
         monkeypatch.setattr(Graph, "adj_matvec", counted)
@@ -318,8 +320,9 @@ class TestCmdVerify:
         checks = {c.name: c for c in report.checks}
         assert checks["motzkin_straus_bound"].passed
         assert checks["motzkin_straus_bound"].detail == f"max u^T A u {worst_q:.12f} vs 1 - 1/4 + 1e-9"
-        # passes made by the check itself; its replicator update takes A u
-        assert callers["cmd_verify"] == steps
+        # passes made by the baselines' loop as the check runs it; the
+        # loop's replicator update takes the A u the check read
+        assert callers["_replicator_steps", "cmd_verify"] == steps
 
     def test_a_raising_seed_is_reported_once(self, monkeypatch):
         def failing_solve(g, cfg, **kw):
@@ -334,6 +337,20 @@ class TestCmdVerify:
         assert not checks["rounding_soundness"].passed
         assert checks["rounding_soundness"].detail == "2 solves across seeds [0, 1, 2], 1 violations"
         assert checks["nonadjacent_weight_bound"].passed
+
+    def test_rounding_check_consults_the_enumerated_cliques(self, monkeypatch):
+        # each clique loses its last vertex and keeps solve's flags; a
+        # clique one vertex short of a maximal one is not maximal
+        def truncating_solve(g, cfg, **kw):
+            res = solve(g, cfg, **kw)
+            assert res.converged and res.clique_valid and res.clique_maximal
+            return replace(res, clique=CliqueSet(res.clique.vertices[:-1]))
+
+        monkeypatch.setattr(harness, "solve", truncating_solve)
+        report = cmd_verify(random_graph(12, 0.5, 2), "r", seeds=range(3))
+        checks = {c.name: c for c in report.checks}
+        assert not checks["rounding_soundness"].passed
+        assert checks["rounding_soundness"].detail == "3 solves across seeds [0, 1, 2], 3 violations"
 
     def test_edgeless_rejected(self, empty4):
         with pytest.raises(EdgelessGraphError, match="at least one edge"):
@@ -384,6 +401,18 @@ class TestCmdIngestText:
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="threshold"):
             cmd_ingest_text(tmp_path / "missing.txt", p_values, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "2 2 1\n3 1 1.0\n"], ids=["missing", "malformed"])
+    def test_a_file_that_does_not_parse_leaves_no_out_dir(self, tmp_path, text):
+        coord = tmp_path / "docs.txt"
+        if text is not None:
+            coord.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(OSError if text is None else CoordinateFormatError):
+            cmd_ingest_text(coord, [1, 2], out)
+        assert not out.exists()
+        assert main(["ingest-text", str(coord), "--p", "1,2", "--out-dir", str(out)]) == 1
         assert not out.exists()
 
     def test_non_ascii_byte_names_its_line(self, tmp_path, capsys):

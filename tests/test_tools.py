@@ -91,12 +91,16 @@ def test_operator_crossover_times_the_pass_adj_matvec_makes():
 def test_bench_pairs_summarises_paired_runs():
     tool = runpy.run_path(str(ROOT / "tools" / "bench_pairs.py"), run_name="tool")
 
-    def run(ms, rss, failed=0, correct=True):
+    def run(ms, rss, wall, size, failed=0, correct=True):
         return {"correct": correct, "attempted": 10, "failed": failed,
-                "metrics": {"ingest_ms_p50": {"value": ms, "unit": "ms"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+                "metrics": {"ingest_ms_p50": {"value": ms, "unit": "ms"}, "peak_rss_mb": {"value": rss, "unit": "MB"},
+                            "wall_s": {"value": wall, "unit": "s"}, "clique_size_mean": {"value": size, "unit": "vertices"},
+                            "trace.wall_s": {"value": wall, "unit": "s"}}}
 
-    parent = [run(10.0, 80.0), run(12.0, 80.0), run(11.0, 80.0, failed=1), run(13.0, 80.0)]
-    change = [run(9.0, 80.0), run(12.0, 81.0), run(10.0, 79.0), run(9.5, 80.0, correct=False)]
+    parent = [run(10.0, 80.0, 1.0, 10.0), run(12.0, 80.0, 2.0, 10.0), run(11.0, 80.0, 1.0, 10.0, failed=1),
+              run(13.0, 80.0, 2.0, 10.0)]
+    change = [run(9.0, 80.0, 0.9, 8.0), run(12.0, 81.0, 2.1, 8.0), run(10.0, 79.0, 0.9, 8.0),
+              run(9.5, 80.0, 1.9, 8.0, correct=False)]
     entry = tool["summarise"](parent, change, ["parent", "change", "parent", "change"])
     assert entry["pairs"] == 4
     assert entry["first_in_pair"] == ["parent", "change", "parent", "change"]
@@ -115,3 +119,17 @@ def test_bench_pairs_summarises_paired_runs():
     assert (ingest["pairs_change_lower"], ingest["pairs_change_higher"]) == (3, 0)
     rss = entry["metrics"]["peak_rss_mb"]
     assert (rss["pairs_change_lower"], rss["pairs_change_higher"], rss["median_change_pct"]) == (1, 1, 0.0)
+    # verdicts by BENCHMARK.json's better side and bound
+    verdicts = ("pairs_change_better", "resolved", "within_bound", "unresolved")
+    # 11.5 -> 9.75 moves more than the parent's spread 1.5, in its bound
+    assert [ingest[k] for k in verdicts] == [3, True, True, False]
+    assert [rss[k] for k in verdicts] == [1, False, True, False]
+    # the parent's spread, 1.0 around 1.5, exceeds the 0.25 bound and
+    # one change run reads worse
+    wall = entry["metrics"]["wall_s"]
+    assert [wall[k] for k in verdicts] == [3, False, True, True]
+    # higher is better: 10 -> 8 is worse by more than the 0.15 bound
+    size = entry["metrics"]["clique_size_mean"]
+    assert [size[k] for k in verdicts] == [0, True, False, False]
+    # a metric BENCHMARK.json does not list as end-to-end gets no verdict
+    assert not set(verdicts) & set(entry["metrics"]["trace.wall_s"])

@@ -13,11 +13,18 @@ The entry gives, for each end-to-end metric, both sides' values in pair
 order, their quartiles, the change of the median in percent and the
 number of pairs in which the change reads lower and higher (a tie counts
 for neither), with the operations attempted and failed by each side over
-its runs and whether every run's outputs were correct.  With --traced,
-one traced run per side follows the pairs (the parent first) and the
-per-layer metrics are kept.  The entry is stored in the --out JSON file
-(made if missing) under "alternating_pairs_untraced", and the traced
-metrics under "traced", each keyed by workload.
+its runs and whether every run's outputs were correct.  A metric that
+BENCHMARK.json lists as end-to-end also gets a verdict by its better
+side and bound there: the pairs in which the change reads better;
+resolved, when the medians differ by more than the parent's quartile
+spread; within_bound, when the change's median is no worse than the
+parent's by more than the bound, relative to the parent's median; and
+unresolved, when the parent's spread exceeds that bound and not every
+change run reads better.  With --traced, one traced run per side follows
+the pairs (the parent first) and the per-layer metrics are kept.  The
+entry is stored in the --out JSON file (made if missing) under
+"alternating_pairs_untraced", and the traced metrics under "traced",
+each keyed by workload.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """The JSON result of one run of checkout's perfbench/run.py."""
@@ -39,8 +48,24 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: bo
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def verdict(before: list[float], after: list[float], rule: dict) -> dict:
+    """How the change's runs after compare with the parent's runs before,
+    pair by pair, under one metric's better side and bound."""
+    sign = 1.0 if rule["better"] == "lower" else -1.0
+    q1, median, q3 = np.percentile(before, [25, 50, 75])
+    worse_by = sign * (np.median(after) - median)
+    better = int(np.count_nonzero(sign * np.subtract(after, before) < 0))
+    return {
+        "pairs_change_better": better,
+        "resolved": bool(abs(worse_by) > q3 - q1),
+        "within_bound": bool(worse_by <= rule["bound"] * abs(median)),
+        "unresolved": bool(q3 - q1 > rule["bound"] * abs(median) and better < len(before)),
+    }
+
+
 def summarise(parent: list[dict], change: list[dict], first_in_pair: list[str]) -> dict:
     """The entry of the paired untraced runs parent[i] and change[i]."""
+    rules = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     sides = {"parent": parent, "change": change}
     entry = {
         "pairs": len(parent),
@@ -64,6 +89,8 @@ def summarise(parent: list[dict], change: list[dict], first_in_pair: list[str]) 
             "pairs_change_lower": int(np.count_nonzero(diffs < 0)),
             "pairs_change_higher": int(np.count_nonzero(diffs > 0)),
         }
+        if name in rules:
+            entry["metrics"][name].update(verdict(values["parent"], values["change"], rules[name]))
     return entry
 
 

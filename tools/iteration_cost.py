@@ -15,12 +15,13 @@ A solver iteration is one call of solver.armijo_outer_iteration, which
 solve looks up on the module, so each call is timed on its own and the
 table gives the median over all iterations of all solves.  The time a
 solve spends outside them is its own time less that of its steps: the
-start (the random vector, its pass, alpha0 and the penalty cap), the
+start (the random vector, its pass and the penalty cap; alpha0 is set
+by the first step, so it is part of that step's time), the
 band screen after each step (a scalar test on the sum(u) and u.u that
 each step's SolverState carries; those two reductions are made inside
 the step), the band test's four vector passes on the iterates that pass
 the screen, and the certification of roundings, with their passes.
-run_baseline keeps its loop inside, so a baseline iteration is a run's
+run_baseline's loop runs inside the call, so a baseline iteration is a run's
 time over its iteration count, and the table gives the median over
 repeated runs of pelillo and ding.  Graph.adj_matvec is wrapped with a
 timer for the shares; the wrapper adds two clock reads per pass to both
