@@ -147,61 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            g, name = _load_instance(args)
-            best, clique, records = cmd_solve(
-                g,
-                name,
-                algo=args.algo,
-                restarts=args.restarts,
-                seed=args.seed,
-                d0=args.d0,
-                eta=args.eta,
-                maximalize=args.maximalize,
-            )
-            print(
-                f"{best.instance_name}: algorithm={best.algorithm} clique_size={best.clique_size} "
-                f"valid={str(best.valid).lower()} maximal={str(best.maximal).lower()} "
-                f"seed={best.seed} iterations={best.iterations} "
-                f"wall_time_ms={best.wall_time_ms:.3f} converged={str(best.converged).lower()}"
-            )
-            print("clique (1-based):", " ".join(str(v + 1) for v in clique.vertices))
-            if args.csv is not None:
-                _emit_csv(records_to_csv(records), args.csv)
-            return 0 if best.valid else 1
-
-        if args.command == "bench-random":
-            records = cmd_bench_random(
-                args.n,
-                args.densities,
-                args.trials,
-                args.seed,
-                algos=args.algos,
-                eta=args.eta,
-                d0=args.d0,
-                maximalize=args.maximalize,
-            )
-            _emit_csv(records_to_csv(records), args.csv)
-            return 0 if all(r.valid for r in records) else 1
-
-        if args.command == "bench-dimacs":
-            paths = sorted(Path(args.dir).glob("*.clq"))
-            if not paths:
-                print(f"no .clq files in {args.dir}", file=sys.stderr)
-                return 1
-            graphs = [(p.stem, read_dimacs(p)) for p in paths]
-            records = cmd_bench_dimacs(
-                graphs,
-                algos=args.algos,
-                restarts=args.restarts,
-                seed=args.seed,
-                eta=args.eta,
-                d0=args.d0,
-                maximalize=args.maximalize,
-            )
-            _emit_csv(records_to_csv(records), args.csv)
-            return 0 if all(r.valid for r in records) else 1
-
         if args.command == "verify":
             g, name = _load_instance(args)
             report = cmd_verify(g, name, seeds=tuple(range(args.seeds)))
@@ -216,7 +161,35 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"p={r.p}: n={r.n} edges={r.edge_count} -> {r.path}")
             return 0
 
-        raise AssertionError(f"unhandled command {args.command!r}")
+        # the run options every solving command takes (_add_solver_args)
+        options = dict(seed=args.seed, d0=args.d0, eta=args.eta, maximalize=args.maximalize)
+        if args.command == "solve":
+            g, name = _load_instance(args)
+            best, clique, records = cmd_solve(g, name, args.algo, args.restarts, **options)
+            print(
+                f"{best.instance_name}: algorithm={best.algorithm} clique_size={best.clique_size} "
+                f"valid={str(best.valid).lower()} maximal={str(best.maximal).lower()} "
+                f"seed={best.seed} iterations={best.iterations} "
+                f"wall_time_ms={best.wall_time_ms:.3f} converged={str(best.converged).lower()}"
+            )
+            print("clique (1-based):", " ".join(str(v + 1) for v in clique.vertices))
+            if args.csv is not None:
+                _emit_csv(records_to_csv(records), args.csv)
+            return 0 if best.valid else 1
+
+        if args.command == "bench-random":
+            records = cmd_bench_random(args.n, args.densities, args.trials, algos=args.algos, **options)
+        elif args.command == "bench-dimacs":
+            paths = sorted(Path(args.dir).glob("*.clq"))
+            if not paths:
+                print(f"no .clq files in {args.dir}", file=sys.stderr)
+                return 1
+            graphs = [(p.stem, read_dimacs(p)) for p in paths]
+            records = cmd_bench_dimacs(graphs, algos=args.algos, restarts=args.restarts, **options)
+        else:
+            raise AssertionError(f"unhandled command {args.command!r}")
+        _emit_csv(records_to_csv(records), args.csv)
+        return 0 if all(r.valid for r in records) else 1
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"error: {e}", file=sys.stderr)
         return 1

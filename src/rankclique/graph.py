@@ -988,11 +988,16 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
     return _clique_check(g, s)[0]
 
 
+def _clique_status(g: Graph, s: Iterable[int]) -> tuple[bool, bool]:
+    """(s is a clique, s is a maximal clique), from one _clique_check."""
+    clique, extenders = _clique_check(g, s)
+    return clique, clique and not extenders.any()
+
+
 def is_maximal_clique(g: Graph, s: Iterable[int]) -> bool:
     """True iff s is a clique and no outside vertex is adjacent to all of s.
 
     The empty set is maximal only on the empty graph (any vertex extends
     it); a singleton is maximal only for an isolated vertex.
     """
-    clique, extenders = _clique_check(g, s)
-    return clique and not extenders.any()
+    return _clique_status(g, s)[1]

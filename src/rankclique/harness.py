@@ -27,7 +27,7 @@ from .graph import (
     CliqueSet,
     EdgelessGraphError,
     Graph,
-    _clique_check,
+    _clique_status,
     _cooccurrence_from_counts,
     _least_threshold,
     _shared_term_counts,
@@ -113,39 +113,33 @@ def run_algorithm(
     Every algorithm is timed over the same region, from its call to the
     final clique: the greedy postprocess, any `+max` extension and
     solve's own rounding check fall inside it; instance loading and the
-    validation done here do not.  A clique the harness built
-    (postprocessed or extended) is validated here; an r1nm clique as
-    solve returned it keeps solve's flags.
+    validation done here do not.  With maximalize, a baseline's clique
+    is extended, and so is an r1nm clique that is valid but not maximal;
+    the tag gains `+max` exactly when the extension ran.  An r1nm clique
+    as solve returned it keeps solve's flags; any other clique is
+    validated here, in one adjacency pass.
     """
     _check_algorithms((algo,))
-    tag = algo
     t0 = time.perf_counter()
     if algo == "r1nm":
-        cfg = SolverConfig(seed=seed, d0_override=d0)
-        result = solve(g, cfg)
-        clique = result.clique
-        iterations = result.iterations
-        converged = result.converged
-        if maximalize and result.clique_valid and not result.clique_maximal:
-            clique = extend_to_maximal(g, clique)
-            tag = algo + "+max"
+        result = solve(g, SolverConfig(seed=seed, d0_override=d0))
+        clique, iterations, converged = result.clique, result.iterations, result.converged
+        status = result.clique_valid, result.clique_maximal
+        extend = maximalize and result.clique_valid and not result.clique_maximal
     else:
         u, iterations, converged = run_baseline(g, algo, ETA if eta is None else eta)
         clique = postprocess_greedy(g, u)
-        if maximalize:
-            clique = extend_to_maximal(g, clique)
-            tag = algo + "+max"
+        status, extend = None, maximalize
+    if extend:
+        clique = extend_to_maximal(g, clique)
+        status = None
     wall_ms = (time.perf_counter() - t0) * 1e3
-    if tag == "r1nm":
-        valid, maximal = result.clique_valid, result.clique_maximal
-    else:
-        valid, extenders = _clique_check(g, clique.vertices)
-        maximal = valid and not extenders.any()
+    valid, maximal = _clique_status(g, clique.vertices) if status is None else status
     record = BenchRecord(
         instance_name=instance_name,
         n=g.n,
         edge_count=g.edge_count,
-        algorithm=tag,
+        algorithm=algo + "+max" if extend else algo,
         seed=seed,
         clique_size=clique.size,
         valid=valid,
@@ -175,15 +169,13 @@ def cmd_solve(
     not an integer of at least 1 raise ValueError before any run.
     """
     _check_count("restarts", restarts)
-    records: list[BenchRecord] = []
-    cliques: list[CliqueSet] = []
-    for i in range(restarts):
-        rec, cl = run_algorithm(g, instance_name, algo, seed + i, d0=d0, eta=eta, maximalize=maximalize)
-        records.append(rec)
-        cliques.append(cl)
+    runs = [
+        run_algorithm(g, instance_name, algo, seed + i, d0=d0, eta=eta, maximalize=maximalize)
+        for i in range(restarts)
+    ]
     # max keeps the first of equal keys, so ties go to the earliest seed
-    best_i = max(range(restarts), key=lambda i: (records[i].valid, records[i].clique_size))
-    return records[best_i], cliques[best_i], records
+    best, clique = max(runs, key=lambda run: (run[0].valid, run[0].clique_size))
+    return best, clique, [record for record, _ in runs]
 
 
 def cmd_bench_random(
@@ -261,6 +253,24 @@ class VerifyReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+def _nonadjacent_weight_bound(g: Graph, nonadj: np.ndarray, d: float, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """The weight bound at a near-stationary u >= 0 of penalty d: both
+    ends of an active non-adjacent pair carry u_j < ||u||_1 / (d + 1).
+
+    nonadj is the dense mask of the distinct non-adjacent vertex pairs.
+    Returns (the pairs checked, as rows (i, j) with i < j, the number of
+    them with an end at or above the bound).  A zero u, or one whose
+    stationarity residual is 1e-8 or more, is not near-stationary and
+    checks no pair.
+    """
+    if float(u @ u) == 0.0 or stationarity_residual(g, d, u) >= 1e-8:
+        return np.empty((0, 2), dtype=np.int64), 0
+    active = u > 0
+    pairs = np.argwhere(np.triu(nonadj & active[:, None] & active[None, :], 1))
+    bound = float(np.abs(u).sum()) / (d + 1.0)
+    return pairs, int(np.count_nonzero(~np.all(u[pairs] < bound, axis=1)))
 
 
 def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 2)) -> VerifyReport:
@@ -355,27 +365,15 @@ def cmd_verify(g: Graph, instance_name: str, *, seeds: tuple[int, ...] = (0, 1, 
         )
     )
 
-    # non-adjacent active pairs of near-stationary iterates must carry
-    # small weight: u_j < ||u||_1 / (d + 1)
     nonadj = ~b
     weight_bound_bad = 0
     weight_bound_hits = 0
     for res in runs:
         assert res.iterates is not None
         for rec in res.iterates:
-            if float(rec.u @ rec.u) == 0.0:
-                continue
-            if stationarity_residual(g, rec.d, rec.u) >= 1e-8:
-                continue
-            active = rec.u > 0
-            pairs = np.triu(nonadj & active[:, None] & active[None, :], 1)
-            ii, jj = np.nonzero(pairs)
-            if len(ii) == 0:
-                continue
-            weight_bound_hits += len(ii)
-            bound = float(np.abs(rec.u).sum()) / (rec.d + 1.0)
-            if not (np.all(rec.u[ii] < bound) and np.all(rec.u[jj] < bound)):
-                weight_bound_bad += 1
+            pairs, violations = _nonadjacent_weight_bound(g, nonadj, rec.d, rec.u)
+            weight_bound_hits += len(pairs)
+            weight_bound_bad += violations
     checks.append(
         VerifyCheck(
             "nonadjacent_weight_bound",

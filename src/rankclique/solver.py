@@ -27,7 +27,7 @@ from typing import ClassVar, Literal
 
 import numpy as np
 
-from .graph import CliqueSet, EdgelessGraphError, Graph, _clique_check, is_maximal_clique
+from .graph import CliqueSet, EdgelessGraphError, Graph, _clique_status, is_maximal_clique
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -502,8 +502,7 @@ def solve(
         valid = maximal = True
     else:
         rounded = np.flatnonzero(state.u > 0.5)
-        valid, extenders = _clique_check(g, rounded)
-        maximal = valid and not extenders.any()
+        valid, maximal = _clique_status(g, rounded)
     return SolverResult(
         u_final=state.u,
         clique=CliqueSet._of_sorted(rounded),

@@ -193,6 +193,10 @@ class TestConstruction:
         assert g.edge_count == 0
         assert [g.neighbors(v).tolist() for v in range(g.n)] == []
 
+    def test_negative_vertex_count_is_refused(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+            graph_from_edge_list(-1, [])
+
     def test_edges_are_lexicographic(self):
         g = graph_from_edge_list(4, [(3, 2), (1, 0), (2, 0)])
         assert g.edges().tolist() == [[0, 1], [0, 2], [2, 3]]
@@ -285,6 +289,10 @@ class TestAdjacencyOperator:
         # a strided view is read as its values
         u = np.random.default_rng(4).random(2 * g.n)[::2]
         assert g.adj_matvec(u).tobytes() == reference_pass(a, form, u).tobytes()
+
+    def test_unknown_form_is_refused(self, k3):
+        with pytest.raises(ValueError, match="unknown stored form 'csc'"):
+            graph_module._form_pass(k3, "csc")
 
     def test_bound_kernel_over_several_dgemv_blocks(self):
         # at n = 700 the dense form splits into two row blocks of 374 and
@@ -439,6 +447,12 @@ class TestDimacs:
         with pytest.raises(DimacsFormatError) as exc:
             parse_dimacs("e 1 2\np edge 2 1\n")
         assert exc.value.line_no == 1
+
+    @pytest.mark.parametrize("line", ["p edge 3", "p col 3 1", "p edge 3 1 1"])
+    def test_malformed_problem_line_names_its_line(self, line):
+        with pytest.raises(DimacsFormatError, match="malformed problem line") as exc:
+            parse_dimacs(f"c x\n{line}\ne 1 2\n")
+        assert exc.value.line_no == 2
 
     def test_duplicate_problem_line(self):
         with pytest.raises(DimacsFormatError, match="duplicate"):
@@ -883,6 +897,10 @@ class TestRandomGraph:
         with pytest.raises(ValueError, match="density"):
             random_graph(5, 1.5, seed=0)
 
+    def test_negative_vertex_count_is_refused(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+            random_graph(-1, 0.5, seed=0)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 400])
     def test_matches_the_triu_indices_reference(self, n):
         for density in (0.0, 0.15, 0.5, 0.85, 1.0):
@@ -945,6 +963,11 @@ class TestCoordinateMatrix:
     def test_missing_header(self):
         with pytest.raises(CoordinateFormatError, match="missing header"):
             parse_coordinate_matrix("% only comments\n")
+
+    def test_two_field_header_names_its_line(self):
+        with pytest.raises(CoordinateFormatError, match="malformed header") as exc:
+            parse_coordinate_matrix("% c\n2 2\n1 1 1\n")
+        assert exc.value.line_no == 2
 
     def test_malformed_entry_names_line(self):
         with pytest.raises(CoordinateFormatError) as exc:

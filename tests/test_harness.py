@@ -98,6 +98,16 @@ class TestRunAlgorithm:
         assert rec.algorithm == "r1nm"
         assert rec.maximal
 
+    def test_maximalize_extends_a_capped_solver_clique(self):
+        # at d0 = 100 this run is held at a saddle until the iteration cap,
+        # and rounds to (5, 27): a clique, but one that 15 extends
+        g = random_graph(49, 0.2, 1)
+        rec, clique = run_algorithm(g, "g", "r1nm", 0, d0=100.0, maximalize=True)
+        assert (rec.converged, rec.iterations) == (False, 10_000)
+        assert rec.algorithm == "r1nm+max"
+        assert clique.vertices == (5, 15, 27)
+        assert (rec.valid, rec.maximal, rec.clique_size) == (True, True, 3)
+
     def test_reported_cliques_are_revalidated(self, star5):
         rec, clique = run_algorithm(star5, "star", "r1nm", seed=1)
         assert rec.valid
@@ -250,6 +260,32 @@ class TestCmdBenchDimacs:
             cmd_bench_dimacs([])
 
 
+# each takes the function verify reads one quantity from and returns a
+# broken one; the check that reads it must then fail
+def _biased_gradient(gradient):
+    return lambda g, d, u: gradient(g, d, u) * (1.0 + 1e-4)
+
+
+def _one_clique_short(enumerate_maximal_cliques):
+    def broken(g):
+        first, *rest = enumerate_maximal_cliques(g)
+        return [CliqueSet(first.vertices[:-1]), *rest]
+
+    return broken
+
+
+def _scaled_lift(lift_ball_point):
+    return lambda g, d, v: lift_ball_point(g, d, v) * (1.0 + 1e-6)
+
+
+def _doubled_pass(replicator_steps):
+    def broken(g, kind, eta):
+        for u, au in replicator_steps(g, kind, eta):
+            yield u, 2.0 * au
+
+    return broken
+
+
 class TestCmdVerify:
     def test_triangle_passes_all_checks(self, k3):
         report = cmd_verify(k3, "k3", seeds=(0, 1))
@@ -351,6 +387,23 @@ class TestCmdVerify:
         checks = {c.name: c for c in report.checks}
         assert not checks["rounding_soundness"].passed
         assert checks["rounding_soundness"].detail == "3 solves across seeds [0, 1, 2], 3 violations"
+
+    @pytest.mark.parametrize(
+        "check, target, breaks",
+        [
+            ("gradient_finite_difference", "gradient", _biased_gradient),
+            ("maximal_clique_stationarity", "enumerate_maximal_cliques", _one_clique_short),
+            ("ball_lift_identity", "lift_ball_point", _scaled_lift),
+            ("motzkin_straus_bound", "_replicator_steps", _doubled_pass),
+        ],
+        ids=["gradient", "stationarity", "ball-lift", "motzkin-straus"],
+    )
+    def test_a_broken_quantity_fails_its_check(self, monkeypatch, check, target, breaks):
+        # the same instance passes every check unbroken (test_random_instance_passes)
+        monkeypatch.setattr(harness, target, breaks(getattr(harness, target)))
+        report = cmd_verify(random_graph(12, 0.5, seed=2), "rand12", seeds=(0,))
+        checks = {c.name: c for c in report.checks}
+        assert not checks[check].passed, checks[check].detail
 
     def test_edgeless_rejected(self, empty4):
         with pytest.raises(EdgelessGraphError, match="at least one edge"):
@@ -458,9 +511,18 @@ class TestCli:
         assert main(["solve", "--dimacs", str(tmp_path / "nope.clq")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_random_spec_exits_nonzero(self, capsys):
-        assert main(["solve", "--random", "n=10,rho=0.5"]) == 1
-        assert "unknown --random fields" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("n=10,rho=0.5", "unknown --random fields"),
+            ("n=10,density", "bad --random field 'density', expected key=value"),
+            ("density=0.5,seed=1", "--random spec missing field 'n'"),
+        ],
+        ids=["unknown", "no-equals", "missing-n"],
+    )
+    def test_bad_random_spec_exits_nonzero(self, spec, message, capsys):
+        assert main(["solve", "--random", spec]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -480,6 +542,13 @@ class TestCli:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2 * 2
+
+    def test_bench_random_without_csv_writes_stdout(self, capsys):
+        argv = ["bench-random", "--n", "12", "--densities", "0.5", "--trials", "2", "--algos", "r1nm"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ",".join(harness.CSV_FIELDS)
+        assert [line.split(",")[0] for line in lines[1:]] == ["random_n12_p0.5_t0", "random_n12_p0.5_t1"]
 
     def test_bench_dimacs(self, tmp_path, star5):
         (tmp_path / "star.clq").write_text(serialize_dimacs(star5))

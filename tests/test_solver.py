@@ -26,6 +26,7 @@ from rankclique import (
     solve,
     stationarity_residual,
 )
+from rankclique.harness import _nonadjacent_weight_bound
 from rankclique.solver import (
     GAMMA,
     ArmijoStep,
@@ -168,18 +169,28 @@ class TestKKTCensus:
     maximal clique."""
 
     def test_strict_minimizers_are_the_maximal_cliques(self):
+        # every point also feeds verify's weight bound, whose pairs all
+        # come from the non-clique points
         counts = dict(maximal=0, non_clique=0)
+        weight_pairs = weight_violations = 0
+        worst_ratio = 0.0
         for n in range(2, 6):
             pairs = list(itertools.combinations(range(n), 2))
             for mask in range(1, 1 << len(pairs)):
                 g = graph_from_edge_list(n, [pair for bit, pair in enumerate(pairs) if mask >> bit & 1])
                 a = dense_adjacency(g)
+                nonadj = (a == 0.0) & ~np.eye(n, dtype=bool)
                 maximal = set(exhaustive_maximal_cliques(a))
                 for d in (float(n), d_max(g)):
                     points = kkt_points(a, d)
                     assert maximal <= {S for S, *_ in points}
                     for S, u, slack, curvature in points:
                         assert stationarity_residual(g, d, u) < 1e-9
+                        checked, violations = _nonadjacent_weight_bound(g, nonadj, d, u)
+                        weight_pairs += len(checked)
+                        weight_violations += violations
+                        if len(checked):
+                            worst_ratio = max(worst_ratio, float(u[checked].max()) * (d + 1.0) / float(u.sum()))
                         strict = slack < 0.0 and curvature > 0.0
                         assert strict == (S in maximal), (n, mask, d, S)
                         if S in maximal:
@@ -190,6 +201,7 @@ class TestKKTCensus:
                             assert curvature < -1e-8, (n, mask, d, S)
                             counts["non_clique"] += 1
         assert counts == dict(maximal=7420, non_clique=6020)
+        assert (weight_pairs, weight_violations) == (9050, 0), f"worst u_j / bound {worst_ratio:.4f}"
 
     def test_a_repeated_positive_eigenvalue_is_refused(self):
         # at d = 0 two non-adjacent vertices give M_d[S, S] = I, whose
