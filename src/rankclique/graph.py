@@ -317,7 +317,10 @@ _BITMAP_PAIRS = 8
 def _graph_from_pairs(n: int, count: int, chunks: Iterable[np.ndarray]) -> Graph:
     """The graph on n vertices of the 0-based pairs that chunks yields as
     (2, k) int64 arrays, count pairs in all, every endpoint already in
-    range: duplicates and self-loops dropped, orientation normalized."""
+    range: duplicates and self-loops dropped, orientation normalized.
+    count must be the exact pair count: it picks the build and sizes
+    the sort's key array.  _standard_dimacs may take the bitmap without
+    this, from its byte count."""
     if n * n <= _BITMAP_PAIRS * count:
         return _graph_of_keys(n, _marked_keys(n, chunks))
     return _graph_of_keys(n, _sorted_keys(n, count, chunks))
@@ -553,11 +556,15 @@ def _chunk_fields(body: np.ndarray, lead: bytes, fields: int, sizes: tuple[int, 
     lead_spaces = lead.count(b" ")
     per_line = lead_spaces + fields - 1
     spaces = np.flatnonzero(body == ord(" "))
+    lines = spaces.size // per_line
+    if lines == 0 or spaces.size != per_line * lines:
+        raise _OffLayout
+    # row j holds each line's j-th space, copied once so that the width
+    # checks, the lead check and every digit round's np.maximum read
+    # contiguous rows, not views of spaces with a stride of per_line
+    spaces = spaces.reshape(lines, per_line).T.copy()
     if lead:
-        lines = spaces.size // per_line
-        if lines == 0 or spaces.size != per_line * lines:
-            raise _OffLayout
-        first = spaces[lead_spaces - 1::per_line]
+        first = spaces[lead_spaces - 1]
         if first[0] != len(lead) - 1:
             raise _OffLayout
         ends = np.empty(lines, dtype=np.int64)
@@ -567,15 +574,14 @@ def _chunk_fields(body: np.ndarray, lead: bytes, fields: int, sizes: tuple[int, 
             raise _OffLayout
     else:
         ends = np.flatnonzero(body == ord("\n"))
-        lines = ends.size
-        if lines == 0 or spaces.size != per_line * lines:
+        if ends.size != lines:
             raise _OffLayout
         # index -1, the chunk's last LF, stands for the LF before its
         # first line
         first = np.concatenate([[-1], ends[:-1]])
     # each field lies between the previous separator (the lead's last
     # byte, or the LF before the line) and the next (a space, or the LF)
-    seps = [*spaces.reshape(lines, per_line)[:, lead_spaces:].T, ends]
+    seps = [*spaces[lead_spaces:], ends]
     widest = []
     prev = first
     for sep in seps:
@@ -631,8 +637,17 @@ def _standard_dimacs(data: bytes) -> tuple[Graph, int] | None:
     each ending in LF or CRLF, every endpoint in 1..n.  serialize_dimacs
     writes text in this layout, with no comment lines and LF ends.  For
     such data the answer is what _dimacs_lines returns.  The pairs go
-    chunk by chunk into the graph build, which takes its bitmap-or-sort
-    choice from the body's line count.
+    chunk by chunk into the graph build.
+
+    The build is chosen without a scan when the body's byte count
+    allows.  A line without leading zeros has at most 4 + 2 * len(str(n))
+    bytes, so bytes // that many bounds the line count from below, and
+    n² at most _BITMAP_PAIRS times the bound takes the bitmap.
+    Otherwise the lines are counted and _graph_from_pairs makes its own
+    choice from that count.  Leading zeros can let a file take the
+    bitmap with fewer lines than that test asks; its n² bytes are still
+    at most _BITMAP_PAIRS / 6 of the body's bytes, as on every path,
+    since no line is shorter than 6 bytes.
     """
     scanned = _standard_body(data, _DIMACS_HEADER)
     if scanned is None:
@@ -641,9 +656,11 @@ def _standard_dimacs(data: bytes) -> tuple[Graph, int] | None:
     n, declared_m = int(head[1]), int(head[2])
     if n > MAX_VERTICES:
         return None
-    lines = data.count(b"\n", head.end())
+    chunks = _standard_chunks(data, head.end(), b"e ", 2, (n, n))
     try:
-        return _graph_from_pairs(n, lines, _standard_chunks(data, head.end(), b"e ", 2, (n, n))), declared_m
+        if n * n <= _BITMAP_PAIRS * ((len(data) - head.end()) // (4 + 2 * len(str(n)))):
+            return _graph_of_keys(n, _marked_keys(n, chunks)), declared_m
+        return _graph_from_pairs(n, data.count(b"\n", head.end()), chunks), declared_m
     except _OffLayout:
         return None
 

@@ -33,6 +33,7 @@ from rankclique import (
     stationarity_residual,
 )
 from rankclique.baselines import _replicator_update
+from rankclique.harness import _nonadjacent_weight_bound
 from rankclique.solver import gradient, md_norm_sq, objective_shifted, round_phi
 from oracles import central_diff_gradient, hamming_graph, johnson_graph
 
@@ -128,13 +129,7 @@ def corpus_scan() -> CorpusScan:
                     continue
                 scan.near_stationary_iterates += 1
                 # active non-adjacent pairs must carry small weight
-                active = u > 0
-                pairs = np.triu(nonadj & active[:, None] & active[None, :], 1)
-                ii, jj = np.nonzero(pairs)
-                if len(ii):
-                    bound = float(np.abs(u).sum()) / (rec.d + 1.0)
-                    if not (np.all(u[ii] < bound) and np.all(u[jj] < bound)):
-                        scan.weight_bound_violations += 1
+                scan.weight_bound_violations += _nonadjacent_weight_bound(g, nonadj, rec.d, u)[1]
                 # once the penalty has reached its cap, the iterate must
                 # sit close to its own rounding
                 if rec.d >= cap - 1e-9 and cap > 0:

@@ -857,6 +857,49 @@ class TestChunkedScan:
         assert declared_m == 2
         assert g.edges().tolist() == [[0, 1], [0, 11]]
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "lines, labels, zeros, build",
+        [
+            # n = 40: a line without leading zeros has at most 8 bytes, so
+            # the byte test takes the bitmap from 1600 body bytes on, and
+            # the line test from 200 lines
+            pytest.param(200, (10, 40), 0, "bytes", id="bitmap by bytes"),
+            pytest.param(199, (10, 40), 0, "sort", id="counted, one line short"),
+            pytest.param(200, (1, 40), 0, "lines", id="counted, bitmap by lines"),
+            pytest.param(120, (10, 40), 3, "bytes", id="leading zeros, bitmap with fewer lines"),
+        ],
+    )
+    def test_the_byte_test_picks_the_build(self, lines, labels, zeros, build, newline):
+        n = 40
+        rng = np.random.default_rng(lines + zeros)
+        pairs = rng.integers(labels[0], labels[1] + 1, size=(lines, 2)) - 1
+        # both orientations, repeated lines and self-loops
+        pairs[10:20] = pairs[:10, ::-1]
+        pairs[20:25] = pairs[:5]
+        pairs[25:30, 1] = pairs[25:30, 0]
+        pad = "0" * zeros
+        body = "".join(f"e {pad}{a + 1} {pad}{b + 1}\n" for a, b in pairs.tolist())
+        by_bytes = n * n <= graph_module._BITMAP_PAIRS * (len(body) // (4 + 2 * len(str(n))))
+        by_lines = n * n <= graph_module._BITMAP_PAIRS * lines
+        assert (by_bytes, by_lines) == {"bytes": (True, zeros == 0), "lines": (False, True), "sort": (False, False)}[build]
+        text = f"c dirty pairs\np edge {n} {lines}\n{body}".replace("\n", newline)
+        with mock.patch.object(graph_module, "_sorted_keys", wraps=graph_module._sorted_keys) as sort, \
+                mock.patch.object(graph_module, "_graph_from_pairs", wraps=graph_module._graph_from_pairs) as counted, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", DimacsWarning)
+            g = parse_dimacs(text.encode("ascii"))
+        assert sort.called == (build == "sort")
+        # only a failed byte test counts the lines, and hands over that count
+        assert counted.called == (build != "bytes")
+        if counted.called:
+            assert counted.call_args.args[:2] == (n, lines)
+        indptr, indices, edge_count = graph_arrays_reference(n, pairs)
+        assert (g.n, g.edge_count) == (n, edge_count)
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        assert graph_outcome(parse_dimacs, text) == graph_outcome(dimacs_line_reader_only, text)
+
     def test_peak_memory_of_a_dense_read(self):
         # the bitmap and the graph's arrays, plus the per-line arrays of
         # one chunk: about 75 bytes per line of at least 6 bytes, so at

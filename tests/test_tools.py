@@ -91,16 +91,16 @@ def test_operator_crossover_times_the_pass_adj_matvec_makes():
 def test_bench_pairs_summarises_paired_runs():
     tool = runpy.run_path(str(ROOT / "tools" / "bench_pairs.py"), run_name="tool")
 
-    def run(ms, rss, wall, size, failed=0, correct=True):
+    def run(ms, rss, wall, size, solve, failed=0, correct=True):
         return {"correct": correct, "attempted": 10, "failed": failed,
                 "metrics": {"ingest_ms_p50": {"value": ms, "unit": "ms"}, "peak_rss_mb": {"value": rss, "unit": "MB"},
                             "wall_s": {"value": wall, "unit": "s"}, "clique_size_mean": {"value": size, "unit": "vertices"},
-                            "trace.wall_s": {"value": wall, "unit": "s"}}}
+                            "solve_ms_p50": {"value": solve, "unit": "ms"}, "trace.wall_s": {"value": wall, "unit": "s"}}}
 
-    parent = [run(10.0, 80.0, 1.0, 10.0), run(12.0, 80.0, 2.0, 10.0), run(11.0, 80.0, 1.0, 10.0, failed=1),
-              run(13.0, 80.0, 2.0, 10.0)]
-    change = [run(9.0, 80.0, 0.9, 8.0), run(12.0, 81.0, 2.1, 8.0), run(10.0, 79.0, 0.9, 8.0),
-              run(9.5, 80.0, 1.9, 8.0, correct=False)]
+    parent = [run(10.0, 80.0, 1.0, 10.0, 5.0), run(12.0, 80.0, 2.0, 10.0, 6.0),
+              run(11.0, 80.0, 1.0, 10.0, 5.5, failed=1), run(13.0, 80.0, 2.0, 10.0, 6.5)]
+    change = [run(9.0, 80.0, 0.9, 8.0, 4.0), run(12.0, 81.0, 2.1, 8.0, 5.0), run(10.0, 79.0, 0.9, 8.0, 4.5),
+              run(9.5, 80.0, 1.9, 8.0, 5.5, correct=False)]
     entry = tool["summarise"](parent, change, ["parent", "change", "parent", "change"])
     assert entry["pairs"] == 4
     assert entry["first_in_pair"] == ["parent", "change", "parent", "change"]
@@ -120,16 +120,22 @@ def test_bench_pairs_summarises_paired_runs():
     rss = entry["metrics"]["peak_rss_mb"]
     assert (rss["pairs_change_lower"], rss["pairs_change_higher"], rss["median_change_pct"]) == (1, 1, 0.0)
     # verdicts by BENCHMARK.json's better side and bound
-    verdicts = ("pairs_change_better", "resolved", "within_bound", "unresolved")
-    # 11.5 -> 9.75 moves more than the parent's spread 1.5, in its bound
-    assert [ingest[k] for k in verdicts] == [3, True, True, False]
-    assert [rss[k] for k in verdicts] == [1, False, True, False]
+    verdicts = ("pairs_change_better", "resolved", "within_bound", "unresolved", "claim_met")
+    # 11.5 -> 9.75 moves more than the parent's spread 1.5, in its bound,
+    # but a claim needs the change better in 4 of 4 pairs (9 in 10,
+    # rounded up), and the tie in the second pair is no win
+    assert [ingest[k] for k in verdicts] == [3, True, True, False, False]
+    assert [rss[k] for k in verdicts] == [1, False, True, False, False]
+    # better in every pair, and 5.75 -> 4.75 moves more than the parent's
+    # spread 0.75: the claim rule is met
+    solve = entry["metrics"]["solve_ms_p50"]
+    assert [solve[k] for k in verdicts] == [4, True, True, False, True]
     # the parent's spread, 1.0 around 1.5, exceeds the 0.25 bound and
     # one change run reads worse
     wall = entry["metrics"]["wall_s"]
-    assert [wall[k] for k in verdicts] == [3, False, True, True]
+    assert [wall[k] for k in verdicts] == [3, False, True, True, False]
     # higher is better: 10 -> 8 is worse by more than the 0.15 bound
     size = entry["metrics"]["clique_size_mean"]
-    assert [size[k] for k in verdicts] == [0, True, False, False]
+    assert [size[k] for k in verdicts] == [0, True, False, False, False]
     # a metric BENCHMARK.json does not list as end-to-end gets no verdict
     assert not set(verdicts) & set(entry["metrics"]["trace.wall_s"])

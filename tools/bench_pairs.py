@@ -18,13 +18,15 @@ BENCHMARK.json lists as end-to-end also gets a verdict by its better
 side and bound there: the pairs in which the change reads better;
 resolved, when the medians differ by more than the parent's quartile
 spread; within_bound, when the change's median is no worse than the
-parent's by more than the bound, relative to the parent's median; and
+parent's by more than the bound, relative to the parent's median;
 unresolved, when the parent's spread exceeds that bound and not every
-change run reads better.  With --traced, one traced run per side follows
-the pairs (the parent first) and the per-layer metrics are kept.  The
-entry is stored in the --out JSON file (made if missing) under
-"alternating_pairs_untraced", and the traced metrics under "traced",
-each keyed by workload.
+change run reads better; and claim_met, the rule a claimed gain must
+meet: the change reads better in at least nine tenths of the pairs
+(rounded up) and its median is better by a resolved margin.  With
+--traced, one traced run per side follows the pairs (the parent first)
+and the per-layer metrics are kept.  The entry is stored in the --out
+JSON file (made if missing) under "alternating_pairs_untraced", and the
+traced metrics under "traced", each keyed by workload.
 """
 
 from __future__ import annotations
@@ -55,11 +57,14 @@ def verdict(before: list[float], after: list[float], rule: dict) -> dict:
     q1, median, q3 = np.percentile(before, [25, 50, 75])
     worse_by = sign * (np.median(after) - median)
     better = int(np.count_nonzero(sign * np.subtract(after, before) < 0))
+    resolved = bool(abs(worse_by) > q3 - q1)
     return {
         "pairs_change_better": better,
-        "resolved": bool(abs(worse_by) > q3 - q1),
+        "resolved": resolved,
         "within_bound": bool(worse_by <= rule["bound"] * abs(median)),
         "unresolved": bool(q3 - q1 > rule["bound"] * abs(median) and better < len(before)),
+        # nine tenths of the pairs, rounded up
+        "claim_met": bool(resolved and worse_by < 0 and 10 * better >= 9 * len(before)),
     }
 
 
