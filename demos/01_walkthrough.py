@@ -27,7 +27,7 @@ print(f"graph: n={g.n}, edges={g.edge_count}")
 print("maximal cliques:", [c.vertices for c in enumerate_maximal_cliques(g)])
 print(f"penalty schedule: d0={default_d0(g):.4f} -> cap {d_max(g):.2f}")
 
-result = solve(g, SolverConfig(seed=0), record_iterates=True)
+result = solve(g, SolverConfig(seed=0))
 
 print(f"\nconverged={result.converged} after {result.iterations} iterations")
 print("final weights:", np.round(result.u_final, 4))

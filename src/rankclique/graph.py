@@ -402,8 +402,8 @@ def parse_dimacs(text: str | bytes) -> Graph:
     it disagrees with the parsed count a DimacsWarning is issued and the
     parsed count wins.  More than MAX_VERTICES vertices is an error.
 
-    Bytes are read as ASCII, so a comment line may hold any bytes; a
-    non-ASCII character anywhere else is an error naming its line.  Text
+    A comment line may hold any bytes; a non-ASCII character anywhere
+    else is an error naming its line, shown decoded as UTF-8.  Text
     in the standard layout (see _standard_dimacs), LF or CRLF ends
     alike, is read in vectorised passes over chunks of its bytes; any
     other text, including every malformed one, goes through the
@@ -412,7 +412,7 @@ def parse_dimacs(text: str | bytes) -> Graph:
     # UTF-8 puts no ASCII byte inside a non-ASCII character, so a str
     # has the same lines and ASCII fields as its encoding
     data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else text
-    g, declared_m = _standard_dimacs(data) or _dimacs_lines(text)
+    g, declared_m = _standard_dimacs(data) or _dimacs_lines(data)
     if g.edge_count != declared_m:
         warnings.warn(
             f"problem line declares {declared_m} edges, parsed {g.edge_count}",
@@ -459,19 +459,19 @@ _WEIGHTED[:, ord("0"):ord("9") + 1] = 10 ** np.arange(_MAX_DIGITS)[:, None] * np
 
 
 def _records(
-    text: str | bytes, comment: str | tuple[str, ...], error: type[_LineError]
+    data: bytes, comment: str | tuple[str, ...], error: type[_LineError]
 ) -> Iterator[tuple[int, str, list[str]]]:
-    """(1-based line number, line, its fields) for each line of text that
+    """(1-based line number, line, its fields) for each line of data that
     is neither blank nor a comment (a line starting with `comment`).
 
     Lines are stripped of ASCII whitespace only, and a non-ASCII
-    character outside a comment line raises `error` naming its line.
-    Bytes are decoded as ASCII with each other byte kept as a lone
-    surrogate, which is no line break, so lines are numbered as in the
-    bytes and a comment line may hold any bytes.
+    character outside a comment line raises `error` naming its line,
+    shown decoded.  data is decoded as UTF-8, each byte outside a valid
+    sequence kept as a lone surrogate.  UTF-8 puts no ASCII byte inside
+    a non-ASCII character, and _LINE_BREAK holds only ASCII, so lines
+    are numbered as in the bytes and a comment line may hold any bytes.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii", errors="surrogateescape")
+    text = data.decode("utf-8", errors="surrogateescape")
     for line_no, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.strip(_ASCII_SPACE)
         if line.startswith(comment):
@@ -497,18 +497,28 @@ def _integer(token: str) -> int | None:
 
 
 class _OffLayout(Exception):
-    """A chunk of a body is not in its standard layout."""
+    """Data is not in its format's standard layout: its header or its
+    body fails a check of _standard_body, _standard_chunks or
+    _chunk_fields."""
 
 
-def _standard_body(data: bytes, header: re.Pattern[bytes]) -> tuple[bytes, re.Match[bytes]] | None:
-    """(data with CRLF ends made LF, its match of `header`) if it starts
-    with a standard header, else None."""
+def _standard_body(data: bytes, header: re.Pattern[bytes], sizes: int) -> tuple[bytes, int, list[int]]:
+    """(data with CRLF ends made LF, the index at which its body starts,
+    the counts of its header) if it starts with a match of the standard
+    `header` whose first `sizes` counts are each at most MAX_VERTICES.
+    Raises _OffLayout otherwise: a header over the limit is left to the
+    line reader, whose error names its line."""
     if b"\r" in data:
         # the line reader splits at CRLF as at LF; a lone CR is left in
         # place, to fail the checks of _chunk_fields
         data = data.replace(b"\r\n", b"\n")
     head = header.match(data)
-    return None if head is None else (data, head)
+    if head is None:
+        raise _OffLayout
+    counts = [int(count) for count in head.groups()]
+    if max(counts[:sizes]) > MAX_VERTICES:
+        raise _OffLayout
+    return data, head.end(), counts
 
 
 def _standard_chunks(
@@ -543,15 +553,17 @@ def _chunk_fields(body: np.ndarray, lead: bytes, fields: int, sizes: tuple[int, 
     its last line; one take checks that each of these ends is an LF.  An
     empty lead has no space to start from, so its LFs are scanned.
 
-    No other LF, space or byte can hide in a chunk that passes the
-    checks: the space count (s per line), the lead's bytes at each line's
-    start (line 0 starting at byte 0), every field's width in
-    1.._MAX_DIGITS, and the digit count, size - (len(lead) + fields) per
-    line.  The checks place in each line its lead's bytes, fields - 1
-    spaces and an LF, in increasing order (each width is at least 1) and
-    with the lines tiling the chunk, so these are (len(lead) + fields)
-    distinct non-digit bytes per line; the digit count leaves the chunk
-    exactly that many non-digit bytes, so every other byte is a digit.
+    The checks run in this order: the space count (s per line), the
+    line ends, the lead's bytes at each line's start (line 0 starting at
+    byte 0), the digit count (size - (len(lead) + fields) per line), then
+    for each field its width in 1.._MAX_DIGITS just before its digits
+    are read, and last the index fields' ranges.  No other LF, space or
+    byte can hide in a chunk that passes them all.  They place in each
+    line its lead's bytes, fields - 1 spaces and an LF, in increasing
+    order (each width is at least 1) and with the lines tiling the
+    chunk, so these are (len(lead) + fields) distinct non-digit bytes
+    per line; the digit count leaves the chunk exactly that many
+    non-digit bytes, so every other byte is a digit.
     """
     lead_spaces = lead.count(b" ")
     per_line = lead_spaces + fields - 1
@@ -579,21 +591,6 @@ def _chunk_fields(body: np.ndarray, lead: bytes, fields: int, sizes: tuple[int, 
         # index -1, the chunk's last LF, stands for the LF before its
         # first line
         first = np.concatenate([[-1], ends[:-1]])
-    # each field lies between the previous separator (the lead's last
-    # byte, or the LF before the line) and the next (a space, or the LF)
-    seps = [*spaces[lead_spaces:], ends]
-    widest = []
-    prev = first
-    for sep in seps:
-        # the field's width less 1; as uint64, a width below 1 wraps past
-        # every width allowed, so one max tests both bounds
-        spare = sep - prev
-        spare -= 2
-        top = int(spare.view(np.uint64).max())
-        if top >= _MAX_DIGITS:
-            raise _OffLayout
-        widest.append(top + 1)
-        prev = sep
     # the lead's bytes before its last, a space that `first` places
     for offset, byte in enumerate(lead[-2::-1], start=1):
         if not np.all(body.take(first - offset) == byte):
@@ -601,20 +598,32 @@ def _chunk_fields(body: np.ndarray, lead: bytes, fields: int, sizes: tuple[int, 
     # uint8 arithmetic wraps the bytes below "0" past 9
     if np.count_nonzero(body - ord("0") < 10) != body.size - (len(lead) + fields) * lines:
         raise _OffLayout
-    # each field is read right-aligned, its k-th digit from the end at
-    # sep - 1 - k; in a field narrower than the widest the index stops at
-    # its leading separator, which _WEIGHTED reads as 0.  take gathers in
-    # about half the time of fancy indexing here, and into a given array
-    # with no copy outside its raise mode; the index -1 wraps.
+    # each field lies between the previous separator (the lead's last
+    # byte, or the LF before the line) and the next (a space, or the LF).
+    # One loop bounds a field's width, then reads its digits; every check
+    # of the docstring still runs before the return, so its argument
+    # that no byte can hide holds.  A field is read right-aligned, its
+    # k-th digit from the end at sep - 1 - k; in a field narrower than
+    # the widest the index stops at its leading separator, which
+    # _WEIGHTED reads as 0.  take gathers in about half the time of fancy
+    # indexing here, and into a given array with no copy outside its
+    # raise mode; the index -1 wraps.
     values = np.empty((fields, lines), dtype=np.int64)
     byte = np.empty(lines, dtype=np.uint8)
     digit = np.empty(lines, dtype=np.int64)
     prev = first
-    for value, sep, digits in zip(values, seps, widest):
+    for value, sep in zip(values, [*spaces[lead_spaces:], ends]):
+        # the field's width less 1; as uint64, a width below 1 wraps past
+        # every width allowed, so one max tests both bounds
+        spare = sep - prev
+        spare -= 2
+        top = int(spare.view(np.uint64).max())
+        if top >= _MAX_DIGITS:
+            raise _OffLayout
         at = sep - 1
         body.take(at, out=byte, mode="wrap")
         _WEIGHTED[0].take(byte, out=value, mode="clip")
-        for weighted in _WEIGHTED[1:digits]:
+        for weighted in _WEIGHTED[1:top + 1]:
             at -= 1
             np.maximum(at, prev, out=at)
             body.take(at, out=byte, mode="wrap")
@@ -633,11 +642,13 @@ def _standard_dimacs(data: bytes) -> tuple[Graph, int] | None:
     """(graph, declared m) if data is in the standard layout, else None.
 
     The standard layout is the header above (comment lines, then the
-    problem line), then only `e <digits> <digits>` lines, single spaces,
-    each ending in LF or CRLF, every endpoint in 1..n.  serialize_dimacs
-    writes text in this layout, with no comment lines and LF ends.  For
-    such data the answer is what _dimacs_lines returns.  The pairs go
-    chunk by chunk into the graph build.
+    problem line, its n at most MAX_VERTICES), then only
+    `e <digits> <digits>` lines, single spaces, each ending in LF or
+    CRLF, every endpoint in 1..n.  serialize_dimacs writes text in this
+    layout, with no comment lines and LF ends.  For such data the answer
+    is what _dimacs_lines returns.  The pairs go chunk by chunk into the
+    graph build.  Every check, of the header (_standard_body) or of a
+    chunk (_chunk_fields), raises _OffLayout, which is caught here once.
 
     The build is chosen without a scan when the body's byte count
     allows.  A line without leading zeros has at most 4 + 2 * len(str(n))
@@ -649,29 +660,23 @@ def _standard_dimacs(data: bytes) -> tuple[Graph, int] | None:
     at most _BITMAP_PAIRS / 6 of the body's bytes, as on every path,
     since no line is shorter than 6 bytes.
     """
-    scanned = _standard_body(data, _DIMACS_HEADER)
-    if scanned is None:
-        return None
-    data, head = scanned
-    n, declared_m = int(head[1]), int(head[2])
-    if n > MAX_VERTICES:
-        return None
-    chunks = _standard_chunks(data, head.end(), b"e ", 2, (n, n))
     try:
-        if n * n <= _BITMAP_PAIRS * ((len(data) - head.end()) // (4 + 2 * len(str(n)))):
+        data, start, (n, declared_m) = _standard_body(data, _DIMACS_HEADER, 1)
+        chunks = _standard_chunks(data, start, b"e ", 2, (n, n))
+        if n * n <= _BITMAP_PAIRS * ((len(data) - start) // (4 + 2 * len(str(n)))):
             return _graph_of_keys(n, _marked_keys(n, chunks)), declared_m
-        return _graph_from_pairs(n, data.count(b"\n", head.end()), chunks), declared_m
+        return _graph_from_pairs(n, data.count(b"\n", start), chunks), declared_m
     except _OffLayout:
         return None
 
 
-def _dimacs_lines(text: str | bytes) -> tuple[Graph, int]:
+def _dimacs_lines(data: bytes) -> tuple[Graph, int]:
     """(graph, declared m) read line by line, for any layout the format
     allows; raises DimacsFormatError naming the first bad line."""
     n = None
     declared_m = None
     pairs: list[tuple[int, int]] = []
-    for line_no, line, tokens in _records(text, "c", DimacsFormatError):
+    for line_no, line, tokens in _records(data, "c", DimacsFormatError):
         if tokens[0] == "p":
             if n is not None:
                 raise DimacsFormatError(line_no, "duplicate problem line")
@@ -785,7 +790,7 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
     without `_`.  Repeated (row, col) entries are summed.  Malformed
     lines raise CoordinateFormatError with the line number.
 
-    Bytes are read as ASCII, so a comment line may hold any bytes.  Text
+    As in parse_dimacs, a comment line may hold any bytes.  Text
     in the standard layout (see _standard_coordinates), LF or CRLF ends
     alike, is read in vectorised passes over chunks of its bytes; any
     other text, including every malformed one, goes through the
@@ -795,7 +800,7 @@ def parse_coordinate_matrix(text: str | bytes) -> sp.csr_matrix:
     # as in parse_dimacs, a str has the same lines and ASCII fields as
     # its encoding
     data = text.encode("utf-8", errors="surrogatepass") if isinstance(text, str) else text
-    shape, rows, cols, vals = _standard_coordinates(data) or _coordinate_lines(text)
+    shape, rows, cols, vals = _standard_coordinates(data) or _coordinate_lines(data)
     # tocsr sums repeated entries
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
@@ -805,23 +810,18 @@ def _standard_coordinates(data: bytes) -> tuple[tuple[int, int], np.ndarray, np.
     standard layout, else None.
 
     The standard layout is the one a count writer produces: the header
-    above, then only `<digits> <digits> <digits>` lines, single spaces,
-    each ending in LF or CRLF, every row in 1..n_rows and every column
-    in 1..n_cols.  For such data the answer is what _coordinate_lines
-    returns.  The chunks fill one (3, lines) array, lines counted
-    before the first chunk.
+    above, n_rows and n_cols each at most MAX_VERTICES, then only
+    `<digits> <digits> <digits>` lines, single spaces, each ending in LF
+    or CRLF, every row in 1..n_rows and every column in 1..n_cols.  For
+    such data the answer is what _coordinate_lines returns.  The chunks
+    fill one (3, lines) array, lines counted before the first chunk.  As
+    in _standard_dimacs, every check raises _OffLayout, caught here once.
     """
-    scanned = _standard_body(data, _COORDINATE_HEADER)
-    if scanned is None:
-        return None
-    data, head = scanned
-    n_rows, n_cols = int(head[1]), int(head[2])
-    if max(n_rows, n_cols) > MAX_VERTICES:
-        return None
-    entries = np.empty((3, data.count(b"\n", head.end())), dtype=np.int64)
-    end = 0
     try:
-        for chunk in _standard_chunks(data, head.end(), b"", 3, (n_rows, n_cols)):
+        data, start, (n_rows, n_cols, _) = _standard_body(data, _COORDINATE_HEADER, 2)
+        entries = np.empty((3, data.count(b"\n", start)), dtype=np.int64)
+        end = 0
+        for chunk in _standard_chunks(data, start, b"", 3, (n_rows, n_cols)):
             entries[:, end:end + chunk.shape[1]] = chunk
             end += chunk.shape[1]
     except _OffLayout:
@@ -830,7 +830,7 @@ def _standard_coordinates(data: bytes) -> tuple[tuple[int, int], np.ndarray, np.
     return (n_rows, n_cols), rows, cols, vals.astype(np.float64)
 
 
-def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+def _coordinate_lines(data: bytes) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
     """(shape, 0-based rows, 0-based cols, values) read line by line, for
     any layout the format allows; raises CoordinateFormatError naming
     the first bad line."""
@@ -838,7 +838,7 @@ def _coordinate_lines(text: str | bytes) -> tuple[tuple[int, int], np.ndarray, n
     rows: list[int] = []  # 1-based until the end
     cols: list[int] = []
     vals: list[float] = []
-    for line_no, line, tokens in _records(text, ("%", "#"), CoordinateFormatError):
+    for line_no, line, tokens in _records(data, ("%", "#"), CoordinateFormatError):
         if header is None:
             if len(tokens) != 3:
                 raise CoordinateFormatError(line_no, f"malformed header {line!r}")

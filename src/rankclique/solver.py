@@ -279,7 +279,7 @@ def lift_ball_point(g: Graph, d: float, v: np.ndarray) -> np.ndarray:
     return math.sqrt(q) * v
 
 
-# the clamps' bound: np.maximum takes a 0-d array without converting a
+# the clamp's bound: np.maximum takes a 0-d array without converting a
 # Python float on every call
 _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
@@ -383,10 +383,12 @@ def armijo_outer_iteration(g: Graph, state: SolverState) -> SolverState:
     if t == 1.0:
         u_new, alpha = cand, alpha / math.sqrt(BETA)
     else:
-        # [u + t p]_+ in p's array, and t A p in A p's
+        # u + t p in p's array, and t A p in A p's.  It needs no clamp:
+        # with u >= 0, cand >= 0 and 0 <= t <= 1, p = fl(cand - u) >= -u
+        # and fl(t p) >= -u, as rounding keeps the representable bound -u,
+        # so u + fl(t p) rounds to +0 or above
         p *= t
         u_new = np.add(u, p, out=p)
-        np.maximum(u_new, _ZERO, out=u_new)
         alpha *= max(t, BETA) if pp > 0.0 else 1.0
         ap *= t
     # A u + t A p in A p's array

@@ -915,6 +915,69 @@ class TestChunkedScan:
         assert peak <= g.n * g.n + g.indices.nbytes + g.indptr.nbytes + 32 * graph_module._CHUNK_BYTES
 
 
+# (DIMACS text, coordinate text) that each standard reader refuses, by
+# cause; the line readers read the first, third and fourth, and refuse
+# the second naming line 1
+OFF_LAYOUT_CAUSES = {
+    "no standard header": ("p edge  3 2\ne 1 2\ne 2 3\n", "3  2 2\n1 1 1\n2 2 1\n"),
+    "header over the limit": (f"p edge {MAX_VERTICES + 1} 0\n", f"3 {MAX_VERTICES + 1} 0\n"),
+    "off-layout chunk": ("p edge 3 2\ne 1 2\ne 2  3\n", "3 2 2\n1 1 1\n2 2  1\n"),
+    # 40 bytes, longer than the 32-byte chunks the test sets
+    "line longer than a chunk": ("p edge 3 2\ne 1 2\ne 000000000000000002 000000000000000003\n",
+                                 "3 2 2\n1 1 1\n000000000000000002 000000000000000002 1\n"),
+}
+
+
+class TestOffLayoutSignal:
+    """Every check of the standard readers raises _OffLayout, which each
+    of them catches once and answers with None."""
+
+    @pytest.mark.parametrize("cause", sorted(OFF_LAYOUT_CAUSES))
+    def test_each_cause_returns_none_and_reads_by_line(self, cause, monkeypatch):
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 32)
+        dimacs, coordinates = OFF_LAYOUT_CAUSES[cause]
+        # None, not a raise: _OffLayout does not escape
+        assert graph_module._standard_dimacs(dimacs.encode("ascii")) is None
+        assert graph_module._standard_coordinates(coordinates.encode("ascii")) is None
+        for form in (dimacs, dimacs.encode("ascii")):
+            expected = graph_outcome(dimacs_line_reader_only, form)
+            assert graph_outcome(parse_dimacs, form) == expected
+        for form in (coordinates, coordinates.encode("ascii")):
+            expected = outcome(line_reader_only, form)
+            assert outcome(parse_coordinate_matrix, form) == expected
+        if cause == "header over the limit":
+            assert expected == (CoordinateFormatError, 1)
+            assert graph_outcome(parse_dimacs, dimacs) == (DimacsFormatError, 1)
+
+    def test_the_header_check_raises_off_layout(self):
+        crlf = b"c x\r\np edge 3 2\r\ne 1 2\r\n"
+        assert graph_module._standard_body(crlf, graph_module._DIMACS_HEADER, 1) == (crlf.replace(b"\r", b""), 15, [3, 2])
+        # n_rows and n_cols are sizes, the entry count is not
+        data = f"3 3 {MAX_VERTICES + 1}\n".encode("ascii")
+        assert graph_module._standard_body(data, graph_module._COORDINATE_HEADER, 2)[2] == [3, 3, MAX_VERTICES + 1]
+        for data, header, sizes in ((b"p edge 3\n", graph_module._DIMACS_HEADER, 1),
+                                    (f"p edge {MAX_VERTICES + 1} 0\n".encode("ascii"), graph_module._DIMACS_HEADER, 1),
+                                    (f"1 {MAX_VERTICES + 1} 0\n".encode("ascii"), graph_module._COORDINATE_HEADER, 2)):
+            with pytest.raises(graph_module._OffLayout):
+                graph_module._standard_body(data, header, sizes)
+
+    @pytest.mark.parametrize(
+        "parse, data, line_no, shown",
+        [
+            (parse_dimacs, b"p edge 2 1\ne 1 \xc3\xa9\n", 2, "'e 1 é'"),
+            (parse_dimacs, b"\xef\xbb\xbfp edge 2 1\ne 1 2\n", 1, "'\\ufeffp edge 2 1'"),
+            (parse_coordinate_matrix, b"2 2 1\n1 \xc3\xa9 1\n", 2, "'1 é 1'"),
+            # a byte outside any UTF-8 sequence stays a lone surrogate
+            (parse_coordinate_matrix, b"2 2 1\n1 \xff 1\n", 2, "'1 \\udcff 1'"),
+        ],
+    )
+    def test_non_ascii_bytes_are_shown_decoded(self, parse, data, line_no, shown):
+        with pytest.raises((DimacsFormatError, CoordinateFormatError)) as exc:
+            parse(data)
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == f"line {line_no}: non-ASCII character in {shown}"
+
+
 class TestRandomGraph:
     def test_deterministic(self):
         g1 = random_graph(30, 0.4, seed=11)

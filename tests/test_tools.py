@@ -16,7 +16,9 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,3 +141,72 @@ def test_bench_pairs_summarises_paired_runs():
     assert [size[k] for k in verdicts] == [0, True, False, False, False]
     # a metric BENCHMARK.json does not list as end-to-end gets no verdict
     assert not set(verdicts) & set(entry["metrics"]["trace.wall_s"])
+
+
+REFACTOR_SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment alone
+import os  # a code line with a comment
+
+
+def f(x):
+    """A function docstring."""
+    s = """a string
+that is no docstring"""
+    return x
+
+
+class C:
+    """A class
+    docstring."""
+
+    y = 1
+'''
+
+
+def test_refactor_check_counts_code_lines():
+    tool = runpy.run_path(str(ROOT / "tools" / "refactor_check.py"), run_name="tool")
+    # import, def, the string's two lines, return, class and y
+    assert tool["code_lines"](REFACTOR_SAMPLE) == 7
+
+
+def test_refactor_check_digests_agree_and_see_one_change():
+    tool = runpy.run_path(str(ROOT / "tools" / "refactor_check.py"), run_name="tool")
+    import rankclique
+    from rankclique import graph
+
+    def reader_digests(corpus):
+        outcomes = [tool["reader_outcome"](graph, reader, text) for reader, text in corpus]
+        return tool["digest"](o for o, _ in outcomes), tool["digest"](m for _, m in outcomes)
+
+    corpus = tool["reader_corpus"](graph, seed=1, files=2)
+    assert reader_digests(corpus) == reader_digests(tool["reader_corpus"](graph, seed=1, files=2))
+    # one more edge declared: the same graph with one more warning, and
+    # no error message changed
+    reader, data = corpus[0]
+    assert reader == "parse_dimacs" and data.startswith(b"p edge ")
+    head, body = data.split(b"\n", 1)
+    declared = head.rsplit(b" ", 1)
+    bumped = declared[0] + b" " + str(int(declared[1]) + 1).encode("ascii") + b"\n" + body
+    changed = reader_digests([(reader, bumped), *corpus[1:]])
+    assert changed[0] != reader_digests(corpus)[0]
+    assert changed[1] == reader_digests(corpus)[1]
+
+    def solve_digest(solve):
+        lib = SimpleNamespace(random_graph=rankclique.random_graph, SolverConfig=rankclique.SolverConfig, solve=solve)
+        return tool["digest"](tool["solve_outcomes"](lib, graphs=2))
+
+    calls = []
+
+    def nudged(*args, **kwargs):
+        # the third solve's last recorded iterate moves by one ulp
+        result = rankclique.solve(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            u = result.iterates[-1].u
+            u[0] = np.nextafter(u[0], 2.0)
+        return result
+
+    assert solve_digest(rankclique.solve) == solve_digest(rankclique.solve)
+    assert solve_digest(nudged) != solve_digest(rankclique.solve)
